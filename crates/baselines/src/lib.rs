@@ -28,9 +28,8 @@ pub mod twidf;
 
 use er_eval::{sweep_threshold_iter, SweepResult, TruthPairs};
 use er_graph::bipartite::PairNode;
-use er_graph::BipartiteGraphBuilder;
 use er_pool::WorkerPool;
-use er_text::{BlockingStrategy, Corpus, TermId};
+use er_text::{BlockingStrategy, Corpus};
 
 pub use hybrid::HybridScorer;
 pub use jaccard::JaccardScorer;
@@ -137,15 +136,10 @@ pub fn candidate_pairs(
     corpus: &Corpus,
     pair_filter: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
 ) -> Vec<PairNode> {
-    let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-    for i in 0..corpus.vocab_len() {
-        let t = TermId(i as u32);
-        builder = builder.postings(t.0, corpus.postings(t));
-    }
-    if let Some(f) = pair_filter {
-        builder = builder.pair_filter(f);
-    }
-    builder.build().pairs().to_vec()
+    BlockingStrategy::TokenGraph
+        .candidate_graph(corpus, &WorkerPool::new(1), None, pair_filter)
+        .pairs()
+        .to_vec()
 }
 
 /// [`candidate_pairs`] under an explicit [`BlockingStrategy`]: the

@@ -25,9 +25,8 @@
 //!   contract also pinned by `tests/zero_alloc.rs`). Recording is
 //!   suspended during the armed window so telemetry itself cannot
 //!   contribute allocations.
-//! * `matmul` (modes `blocked`/`packed`, datasets `n256`/`n512`) — the
-//!   packed register-tiled kernel against the legacy blocked baseline;
-//!   the packed report carries a `matmul_speedup` gauge.
+//! * `matmul` (mode `packed`, datasets `n256`/`n512`) — the packed
+//!   register-tiled kernel, single-threaded.
 //!
 //! Run: `cargo bench -p er-bench --bench bench_fusion`. Output goes to
 //! `BENCH_fusion.json` in the current directory (override with
@@ -42,7 +41,7 @@ use er_core::{
     run_cliquerank_cached, run_iter, solve_component_into, CliqueRankCache, CliqueScratch, Resolver,
 };
 use er_graph::RecordGraph;
-use er_matrix::{matmul_blocked, matmul_packed, Matrix};
+use er_matrix::{matmul_packed, Matrix};
 use er_obs::{BenchFile, BenchRun, GaugeStat, Report, SpanStat};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -318,8 +317,8 @@ fn cache_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file: &mut
     });
 }
 
-/// Packed-vs-blocked single-threaded matmul at n ∈ {256, 512}; three
-/// reps per kernel, so the span carries count=3 with min/max per rep.
+/// Packed single-threaded matmul at n ∈ {256, 512}; three reps, so the
+/// span carries count=3 with min/max per rep.
 fn matmul_runs(file: &mut BenchFile) {
     for n in [256usize, 512] {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -334,32 +333,18 @@ fn matmul_runs(file: &mut BenchFile) {
             }
         }
         let dataset = format!("n{n}");
-        let blocked_run = recorded_run("matmul", &dataset, "blocked", 1, || {
-            for _ in 0..3 {
-                let _span = er_obs::span("matmul_kernel");
-                std::hint::black_box(matmul_blocked(&a, &b));
-            }
-        });
-        let mut packed_run = recorded_run("matmul", &dataset, "packed", 1, || {
+        let packed_run = recorded_run("matmul", &dataset, "packed", 1, || {
             for _ in 0..3 {
                 let _span = er_obs::span("matmul_kernel");
                 std::hint::black_box(matmul_packed(&a, &b));
             }
         });
-        // Speedup on best-of-3 (min), the least noisy comparison.
-        let best = |run: &BenchRun| {
-            run.report
-                .span("matmul_kernel")
-                .map_or(f64::INFINITY, |s| s.min_ns as f64 / 1e9)
-        };
-        let (blocked_s, packed_s) = (best(&blocked_run), best(&packed_run));
-        let speedup = blocked_s / packed_s;
-        packed_run.report.gauges.push(GaugeStat {
-            name: "matmul_speedup".to_owned(),
-            value: speedup,
-        });
-        println!("  matmul n={n}: blocked {blocked_s:.4}s  packed {packed_s:.4}s  ({speedup:.2}x)");
-        file.runs.push(blocked_run);
+        // Best-of-3 (min), the least noisy figure.
+        let packed_s = packed_run
+            .report
+            .span("matmul_kernel")
+            .map_or(f64::INFINITY, |s| s.min_ns as f64 / 1e9);
+        println!("  matmul n={n}: packed {packed_s:.4}s");
         file.runs.push(packed_run);
     }
 }

@@ -16,8 +16,7 @@ use er_core::{
 use er_graph::bipartite::PairNode;
 use er_graph::{BipartiteGraphBuilder, RecordGraph};
 use er_matrix::{
-    matmul_blocked, matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, Matrix,
-    PackScratch,
+    matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, Matrix, PackScratch,
 };
 use er_pool::WorkerPool;
 
@@ -39,9 +38,6 @@ fn bench_matmul(c: &mut Criterion) {
     for n in [64usize, 128, 256] {
         let a = deterministic(n, 1);
         let b = deterministic(n, 2);
-        group.bench_function(format!("blocked_{n}"), |bench| {
-            bench.iter(|| matmul_blocked(&a, &b));
-        });
         group.bench_function(format!("packed_{n}"), |bench| {
             bench.iter(|| matmul_packed(&a, &b));
         });

@@ -7,18 +7,10 @@
 //! record graph is unchanged (the common case when appending records)
 //! skips the matrix work everywhere except the components actually
 //! touched. Any change to a member, an edge, or a similarity changes the
-//! key.
-//!
-//! Two precision regimes cover the two incremental callers:
-//!
-//! * [`CachePrecision::Quantized`] (the default) absorbs ITER's
-//!   warm-start convergence jitter by hashing similarities at a 1e-4
-//!   quantum — right for [`crate::Resolver`]-level warm restarts where
-//!   the caller only compares *matches*.
-//! * [`CachePrecision::Exact`] hashes the similarity bits themselves, so
-//!   a replayed component is **bit-identical** to a recomputation — the
-//!   regime `er-serve` runs in, where incremental resolution is pinned
-//!   bitwise against a from-scratch batch run.
+//! key: similarities enter the hash as their exact `f64` bits, so a
+//! replayed component is **bit-identical** to a recomputation — the
+//! contract `er-serve` pins incremental resolution against a
+//! from-scratch batch run with.
 //!
 //! For long-lived engines the cache also tracks a **generation** (bumped
 //! once per resolve): every hit or insert stamps the entry, and
@@ -37,19 +29,6 @@ use er_pool::WorkerPool;
 use crate::cliquerank::{solve_component_public, CliqueScratch};
 use crate::config::CliqueRankConfig;
 
-/// How similarities enter the component content hash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePrecision {
-    /// Hash similarities at a 1e-4 quantum: warm-started ITER
-    /// re-converges only within its tolerance, so bit-exact hashing
-    /// would needlessly invalidate every component on every resolve.
-    #[default]
-    Quantized,
-    /// Hash the exact `f64` bits: a hit guarantees the stored
-    /// probabilities are bitwise what the solver would produce.
-    Exact,
-}
-
 /// One cached component: probabilities in local edge order, plus the
 /// generation that last touched it (for stale-entry eviction).
 #[derive(Debug)]
@@ -66,7 +45,6 @@ pub struct CliqueRankCache {
     map: HashMap<u64, CacheEntry>,
     hits: usize,
     misses: usize,
-    precision: CachePrecision,
     /// Monotone resolve counter; entries are stamped with it on every
     /// hit or insert.
     generation: u64,
@@ -77,23 +55,9 @@ pub struct CliqueRankCache {
 }
 
 impl CliqueRankCache {
-    /// An empty cache with the default (quantized) precision.
+    /// An empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty cache hashing exact similarity bits — replays are
-    /// bit-identical to recomputation.
-    pub fn exact() -> Self {
-        Self {
-            precision: CachePrecision::Exact,
-            ..Self::default()
-        }
-    }
-
-    /// The hashing precision this cache was built with.
-    pub fn precision(&self) -> CachePrecision {
-        self.precision
     }
 
     /// Components served from the cache so far.
@@ -147,12 +111,7 @@ impl CliqueRankCache {
 
 /// Content hash of one component: members, local edges, similarities and
 /// the solver configuration knobs that affect the result.
-fn component_hash(
-    graph: &RecordGraph,
-    members: &[u32],
-    config: &CliqueRankConfig,
-    precision: CachePrecision,
-) -> u64 {
+fn component_hash(graph: &RecordGraph, members: &[u32], config: &CliqueRankConfig) -> u64 {
     let mut h = DefaultHasher::new();
     config.alpha.to_bits().hash(&mut h);
     config.steps.hash(&mut h);
@@ -175,16 +134,7 @@ fn component_hash(
         let (neighbors, sims) = graph.neighbors(g);
         neighbors.hash(&mut h);
         for &s in sims {
-            match precision {
-                // Quantize: warm-started ITER re-converges to the same
-                // fixed point only within its tolerance, so bit-exact
-                // hashing would needlessly invalidate every component on
-                // every resolve. 1e-4 relative drift is far below
-                // anything CliqueRank's row-normalized transitions can
-                // distinguish.
-                CachePrecision::Quantized => ((s * 1e4).round() as i64).hash(&mut h),
-                CachePrecision::Exact => s.to_bits().hash(&mut h),
-            }
+            s.to_bits().hash(&mut h);
         }
     }
     h.finish()
@@ -210,9 +160,8 @@ pub fn run_cliquerank_cached(
 /// incremental resolve touches only the dirtied components, and those
 /// are exactly the misses this dispatch decision covers.
 ///
-/// Output is bit-identical to [`run_cliquerank_cached`] (and, under
-/// [`CachePrecision::Exact`], to the uncached [`crate::run_cliquerank`])
-/// at any thread count.
+/// Output is bit-identical to [`run_cliquerank_cached`] and to the
+/// uncached [`crate::run_cliquerank`] at any thread count.
 pub fn run_cliquerank_cached_pooled(
     graph: &RecordGraph,
     config: &CliqueRankConfig,
@@ -241,7 +190,7 @@ fn run_cliquerank_cached_impl(
             .iter()
             .filter(|m| m.len() >= 2)
             .filter(|m| {
-                let key = component_hash(graph, m, config, cache.precision);
+                let key = component_hash(graph, m, config);
                 !cache.map.contains_key(&key)
             })
             .map(|m| m.len().pow(3))
@@ -269,7 +218,7 @@ fn run_cliquerank_cached_impl(
         }
         edge_indices.sort_unstable();
 
-        let key = component_hash(graph, members, config, cache.precision);
+        let key = component_hash(graph, members, config);
         if let Some(stored) = cache.map.get_mut(&key) {
             cache.hits += 1;
             stored.last_used = generation;
@@ -386,34 +335,26 @@ mod tests {
     }
 
     #[test]
-    fn quantized_absorbs_sub_quantum_drift_exact_does_not() {
+    fn sub_quantum_drift_misses_and_recomputes_bitwise() {
         let base = [1.0, 0.9, 0.8, 0.7, 0.6];
-        // Perturb one similarity far below the 1e-4 quantum.
+        // Perturb one similarity by far less than any rounding quantum.
         let mut drifted = base;
         drifted[4] += 1e-9;
-        let (g1, g2) = (graph(&base), graph(&drifted));
-
-        let mut quantized = CliqueRankCache::new();
-        let _ = run_cliquerank_cached(&g1, &cfg(), &mut quantized);
-        let _ = run_cliquerank_cached(&g2, &cfg(), &mut quantized);
-        assert_eq!(quantized.hits(), 2, "sub-quantum drift must replay");
-
-        let mut exact = CliqueRankCache::exact();
-        assert_eq!(exact.precision(), CachePrecision::Exact);
-        let _ = run_cliquerank_cached(&g1, &cfg(), &mut exact);
-        let out = run_cliquerank_cached(&g2, &cfg(), &mut exact);
-        assert_eq!(exact.hits(), 1, "only the untouched component replays");
-        assert_eq!(exact.misses(), 3);
-        // And the exact cache's answer is bitwise the uncached one.
-        assert_eq!(out, crate::run_cliquerank(&g2, &cfg()));
+        let mut cache = CliqueRankCache::new();
+        let _ = run_cliquerank_cached(&graph(&base), &cfg(), &mut cache);
+        let out = run_cliquerank_cached(&graph(&drifted), &cfg(), &mut cache);
+        assert_eq!(cache.hits(), 1, "only the untouched component replays");
+        assert_eq!(cache.misses(), 3);
+        // The cache's answer is bitwise the uncached one.
+        assert_eq!(out, crate::run_cliquerank(&graph(&drifted), &cfg()));
     }
 
     #[test]
     fn pooled_cached_matches_serial_cached() {
         let g = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
         let pool = WorkerPool::with_policy(4, er_pool::DispatchPolicy::always_parallel());
-        let mut serial_cache = CliqueRankCache::exact();
-        let mut pooled_cache = CliqueRankCache::exact();
+        let mut serial_cache = CliqueRankCache::new();
+        let mut pooled_cache = CliqueRankCache::new();
         let serial = run_cliquerank_cached(&g, &cfg(), &mut serial_cache);
         let pooled = run_cliquerank_cached_pooled(&g, &cfg(), &mut pooled_cache, &pool);
         assert_eq!(serial, pooled);
@@ -426,7 +367,7 @@ mod tests {
     #[test]
     fn generation_stamps_and_evicts_stale_entries() {
         let g1 = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
-        let mut cache = CliqueRankCache::exact();
+        let mut cache = CliqueRankCache::new();
         assert_eq!(cache.generation(), 0);
         let _ = run_cliquerank_cached(&g1, &cfg(), &mut cache);
         assert_eq!(cache.len(), 2);
@@ -456,7 +397,7 @@ mod tests {
     fn eviction_after_repeated_dirtying_bounds_the_cache() {
         // Dirty the same component every epoch; with age-0 eviction the
         // cache never holds more than live-components entries.
-        let mut cache = CliqueRankCache::exact();
+        let mut cache = CliqueRankCache::new();
         for i in 0..10 {
             cache.bump_generation();
             let s = 0.6 + (i as f64) * 0.01;

@@ -47,7 +47,7 @@
 //! far cheaper than one n × n product on sparse record graphs.
 
 use er_graph::{bipartite::PairNode, RecordGraph};
-use er_matrix::{matmul_pooled_into, matmul_threaded_into, Matrix, MatrixArena, PackScratch};
+use er_matrix::{matmul_packed_into, matmul_pooled_into, Matrix, MatrixArena, PackScratch};
 use er_pool::{ScratchSlot, WorkerPool};
 
 use crate::config::{BoostMode, CliqueRankConfig, Kernel, Recurrence};
@@ -542,7 +542,7 @@ fn first_passage(
     let mut cont = arena.take(nc, nc);
     for _ in 2..=config.steps {
         apply_neighbor_mask(graph, members, local_of, &g_mat, &mut masked, config);
-        step_product_into(mt, &masked, &mut cont, config, pool, pack);
+        step_product_into(mt, &masked, &mut cont, pool, pack);
         cont.hadamard_assign(&c);
         cont.add_assign(&h);
         std::mem::swap(&mut g_mat, &mut cont);
@@ -554,20 +554,20 @@ fn first_passage(
     g_mat
 }
 
-/// One `Mt × masked` step into `out`, on the shared pool when available.
-/// All matmul variants are bit-identical, so the choice only affects
+/// One `Mt × masked` step into `out`: on the shared pool when the
+/// caller's dispatch decision handed one down, otherwise the serial
+/// packed kernel. Both are bit-identical, so the choice only affects
 /// speed.
 fn step_product_into(
     mt: &Matrix,
     masked: &Matrix,
     out: &mut Matrix,
-    config: &CliqueRankConfig,
     pool: Option<&WorkerPool>,
     pack: &mut PackScratch,
 ) {
     match pool {
         Some(pool) => matmul_pooled_into(mt, masked, out, pool, pack),
-        None => matmul_threaded_into(mt, masked, out, config.threads, pack),
+        None => matmul_packed_into(mt, masked, out, pack),
     }
 }
 
@@ -613,7 +613,7 @@ fn paper_eq15(
     let mut next = arena.take(nc, nc);
     for _ in 2..=config.steps {
         apply_neighbor_mask(graph, members, local_of, &m, &mut masked, config);
-        step_product_into(mt, &masked, &mut next, config, pool, pack);
+        step_product_into(mt, &masked, &mut next, pool, pack);
         std::mem::swap(&mut m, &mut next);
         acc.add_assign(&m);
     }

@@ -21,7 +21,7 @@ use er_pool::WorkerPool;
 use crate::cache::{run_cliquerank_cached_pooled, CliqueRankCache};
 use crate::cliquerank::run_cliquerank_pooled;
 use crate::config::FusionConfig;
-use crate::iter::{run_iter_with_init_pooled_scratch, IterScratch};
+use crate::iter::{run_iter_pooled_scratch, IterScratch};
 
 /// Per-round diagnostics.
 #[derive(Debug, Clone)]
@@ -135,8 +135,7 @@ impl Resolver {
     /// each round's CliqueRank phase replays every record-graph
     /// component whose content key is already cached and solves only
     /// the rest (on the shared pool, behind its dispatch cost model).
-    /// With a [`CliqueRankCache::exact`] cache the outcome is
-    /// **bit-identical** to [`Resolver::resolve`] /
+    /// The outcome is **bit-identical** to [`Resolver::resolve`] /
     /// [`Resolver::resolve_seeded`] on the same graph — replayed
     /// probabilities were produced by the same deterministic solver on
     /// an identical component — which is the contract the streaming
@@ -208,14 +207,7 @@ impl Resolver {
             let t0 = Instant::now();
             let iter_out = {
                 let _span = er_obs::span("iter");
-                run_iter_with_init_pooled_scratch(
-                    graph,
-                    &prob,
-                    &cfg.iter,
-                    None,
-                    &pool,
-                    &mut iter_scratch,
-                )
+                run_iter_pooled_scratch(graph, &prob, &cfg.iter, &pool, &mut iter_scratch)
             };
             let iter_time = t0.elapsed();
             er_obs::counter_add("iter_iterations_total", iter_out.iterations as u64);
@@ -504,7 +496,7 @@ mod tests {
         let g = two_entity_graph();
         let resolver = Resolver::new(quick_config());
         let plain = resolver.resolve(&g);
-        let mut cache = CliqueRankCache::exact();
+        let mut cache = CliqueRankCache::new();
         let cold = resolver.resolve_cached(&g, None, &mut cache);
         assert_eq!(plain.matching_probabilities, cold.matching_probabilities);
         assert_eq!(plain.term_weights, cold.term_weights);
@@ -526,7 +518,7 @@ mod tests {
             .map(|i| 0.25 + 0.5 * ((i % 3) as f64) / 2.0)
             .collect();
         let plain = resolver.resolve_seeded(&g, &seed);
-        let mut cache = CliqueRankCache::exact();
+        let mut cache = CliqueRankCache::new();
         let cached = resolver.resolve_cached(&g, Some(&seed), &mut cache);
         assert_eq!(plain.matching_probabilities, cached.matching_probabilities);
         assert_eq!(plain.matches, cached.matches);
@@ -536,7 +528,7 @@ mod tests {
     #[should_panic(expected = "one seed weight per candidate pair")]
     fn cached_misaligned_seed_rejected() {
         let g = two_entity_graph();
-        let mut cache = crate::cache::CliqueRankCache::exact();
+        let mut cache = crate::cache::CliqueRankCache::new();
         Resolver::new(quick_config()).resolve_cached(&g, Some(&[1.0]), &mut cache);
     }
 

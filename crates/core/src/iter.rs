@@ -40,7 +40,7 @@ use crate::config::{IterConfig, Normalization};
 /// exceeds the loop body.
 const MIN_CHUNK: usize = 512;
 
-/// Reusable buffers for [`run_iter_with_init_scratch`].
+/// Reusable buffers for [`run_iter_pooled_scratch`].
 ///
 /// An ITER run needs four working vectors (`x`, `new_x`, `s`, `deltas`).
 /// Three of them leave the run inside the [`IterOutcome`]; the scratch
@@ -100,7 +100,13 @@ pub struct IterOutcome {
 /// If `edge_prob` is not aligned with the graph's pair nodes, or contains
 /// values outside `[0, 1]`.
 pub fn run_iter(graph: &BipartiteGraph, edge_prob: &[f64], config: &IterConfig) -> IterOutcome {
-    run_iter_with_init(graph, edge_prob, config, None)
+    let mut scratch = IterScratch::default();
+    if config.threads <= 1 {
+        iter_impl(graph, edge_prob, config, None, &mut scratch)
+    } else {
+        let pool = WorkerPool::new(config.threads);
+        iter_impl(graph, edge_prob, config, Some(&pool), &mut scratch)
+    }
 }
 
 /// [`run_iter`] on an existing worker pool (pipeline callers share one
@@ -111,71 +117,25 @@ pub fn run_iter_pooled(
     config: &IterConfig,
     pool: &WorkerPool,
 ) -> IterOutcome {
-    run_iter_with_init_pooled(graph, edge_prob, config, None, pool)
+    run_iter_pooled_scratch(graph, edge_prob, config, pool, &mut IterScratch::default())
 }
 
-/// [`run_iter`] with an optional warm start: `init[t]` seeds the weight
-/// of term `t` (values outside `(0, 1)` or for terms with `P_t = 0` are
-/// ignored). Theorem 1 guarantees the same fixed point from any
-/// non-degenerate start; a warm start near it just converges in fewer
-/// iterations — the incremental-resolution path uses the previous run's
-/// weights here.
-pub fn run_iter_with_init(
-    graph: &BipartiteGraph,
-    edge_prob: &[f64],
-    config: &IterConfig,
-    init: Option<&[f64]>,
-) -> IterOutcome {
-    let mut scratch = IterScratch::default();
-    run_iter_with_init_scratch(graph, edge_prob, config, init, &mut scratch)
-}
-
-/// [`run_iter_with_init`] on caller-owned scratch buffers — the
+/// [`run_iter_pooled`] on caller-owned scratch buffers — the
 /// zero-allocation entry point for repeated runs.
-pub fn run_iter_with_init_scratch(
+pub fn run_iter_pooled_scratch(
     graph: &BipartiteGraph,
     edge_prob: &[f64],
     config: &IterConfig,
-    init: Option<&[f64]>,
-    scratch: &mut IterScratch,
-) -> IterOutcome {
-    if config.threads <= 1 {
-        iter_impl(graph, edge_prob, config, init, None, scratch)
-    } else {
-        let pool = WorkerPool::new(config.threads);
-        iter_impl(graph, edge_prob, config, init, Some(&pool), scratch)
-    }
-}
-
-/// [`run_iter_with_init`] on an existing worker pool.
-pub fn run_iter_with_init_pooled(
-    graph: &BipartiteGraph,
-    edge_prob: &[f64],
-    config: &IterConfig,
-    init: Option<&[f64]>,
-    pool: &WorkerPool,
-) -> IterOutcome {
-    let mut scratch = IterScratch::default();
-    iter_impl(graph, edge_prob, config, init, Some(pool), &mut scratch)
-}
-
-/// [`run_iter_with_init_pooled`] on caller-owned scratch buffers.
-pub fn run_iter_with_init_pooled_scratch(
-    graph: &BipartiteGraph,
-    edge_prob: &[f64],
-    config: &IterConfig,
-    init: Option<&[f64]>,
     pool: &WorkerPool,
     scratch: &mut IterScratch,
 ) -> IterOutcome {
-    iter_impl(graph, edge_prob, config, init, Some(pool), scratch)
+    iter_impl(graph, edge_prob, config, Some(pool), scratch)
 }
 
 fn iter_impl(
     graph: &BipartiteGraph,
     edge_prob: &[f64],
     config: &IterConfig,
-    init: Option<&[f64]>,
     pool: Option<&WorkerPool>,
     scratch: &mut IterScratch,
 ) -> IterOutcome {
@@ -198,25 +158,18 @@ fn iter_impl(
     // bookkeeping per iteration than the chunks earned back).
     let pool = pool.filter(|p| p.dispatch(graph.edge_count()).is_parallel());
 
-    // Line 1: random initialization of x_t in (0, 1), overridden by the
-    // warm start where provided. Terms with P_t = 0 never receive mass
-    // and stay 0. The working vectors come from the scratch so repeat
-    // runs reuse their capacity.
+    // Line 1: random initialization of x_t in (0, 1). Terms with P_t = 0
+    // never receive mass and stay 0. The working vectors come from the
+    // scratch so repeat runs reuse their capacity.
     let mut rng = SmallRng::seed_from_u64(config.seed);
     let mut x = mem::take(&mut scratch.x);
     x.clear();
     x.extend((0..n_terms).map(|t| {
         if graph.pt(t as u32) == 0 {
-            return 0.0;
+            0.0
+        } else {
+            rng.random_range(0.01..1.0)
         }
-        if let Some(init) = init {
-            if let Some(&w) = init.get(t) {
-                if w > 0.0 && w < 1.0 {
-                    return w;
-                }
-            }
-        }
-        rng.random_range(0.01..1.0)
     }));
 
     let mut s = mem::take(&mut scratch.s);

@@ -46,9 +46,7 @@ pub mod iter;
 pub mod rss;
 pub mod sparse_kernel;
 
-pub use cache::{
-    run_cliquerank_cached, run_cliquerank_cached_pooled, CachePrecision, CliqueRankCache,
-};
+pub use cache::{run_cliquerank_cached, run_cliquerank_cached_pooled, CliqueRankCache};
 pub use cliquerank::{
     run_cliquerank, run_cliquerank_into, run_cliquerank_pooled, solve_component_into, CliqueScratch,
 };
@@ -57,8 +55,5 @@ pub use config::{
     RssConfig,
 };
 pub use fusion::{FusionOutcome, Resolver, RoundStats};
-pub use iter::{
-    run_iter, run_iter_pooled, run_iter_with_init, run_iter_with_init_pooled,
-    run_iter_with_init_pooled_scratch, run_iter_with_init_scratch, IterOutcome, IterScratch,
-};
+pub use iter::{run_iter, run_iter_pooled, run_iter_pooled_scratch, IterOutcome, IterScratch};
 pub use rss::{run_rss, run_rss_pooled, run_rss_subset, run_rss_subset_pooled, RssOutcome};

@@ -4,25 +4,21 @@
 //! component per fusion round, so this is the framework's hottest kernel.
 //! The implementations, all producing identical results:
 //!
-//! * [`matmul_naive`] — reference i-k-j loop over row slices; what the
-//!   others are tested against.
-//! * [`matmul_blocked`] — i-k-j loop order (unit-stride inner loop) with
-//!   cache blocking; retained as the comparison baseline for benches.
+//! * [`matmul_naive`] — reference i-k-j loop over row slices; the oracle
+//!   the others are tested against.
 //! * [`matmul_packed`] — packed register-tiled microkernel
 //!   ([`crate::pack`]); the default ([`Matrix::matmul`]).
-//! * [`matmul_threaded`] — row-band parallelism over the packed kernel
-//!   via crossbeam scoped threads, standing in for Eigen's multi-threaded
-//!   GEMM on the paper's 32-core server.
-//! * [`matmul_pooled`] — the same row-band decomposition submitted to a
-//!   shared [`er_pool::WorkerPool`], so pipeline phases reuse one set of
-//!   persistent workers instead of spawning threads per product.
+//! * [`matmul_pooled`] — row strips of the packed kernel submitted to a
+//!   shared [`er_pool::WorkerPool`], standing in for Eigen's
+//!   multi-threaded GEMM on the paper's 32-core server, so pipeline
+//!   phases reuse one set of persistent workers.
 //!
-//! Row bands are computed independently, so the threaded and pooled
-//! variants are bit-identical to [`matmul_packed`] at any thread count.
-//! For depths `k ≤ `[`KC`](crate::pack::KC) every kernel here is bit-identical to every
-//! other (each output element accumulates its products in ascending `k`
-//! order); past one packed panel the packed family differs from
-//! naive/blocked only by panel-boundary rounding.
+//! Row strips are computed independently, so the pooled variant is
+//! bit-identical to [`matmul_packed`] at any thread count. For depths
+//! `k ≤ `[`KC`](crate::pack::KC) every kernel here is bit-identical to
+//! every other (each output element accumulates its products in
+//! ascending `k` order); past one packed panel the packed family differs
+//! from naive only by panel-boundary rounding.
 //!
 //! Every allocating front end has an `*_into` twin that writes into a
 //! caller-owned [`Matrix`] (reshaped in place) and borrows a
@@ -34,10 +30,6 @@ use er_pool::WorkerPool;
 use crate::dense::Matrix;
 use crate::invariant::debug_validate;
 use crate::pack::{self, matmul_packed_rows, PackScratch};
-
-/// Cache block edge (in elements). 64 × 64 f64 tiles ≈ 32 KiB per operand
-/// pair, comfortably inside L1+L2 on commodity cores.
-const BLOCK: usize = 64;
 
 /// Reference product (`O(n³)`, no blocking): i-k-j order over row
 /// slices, so the baseline pays neither per-element bounds checks nor
@@ -58,53 +50,6 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
         }
     }
     out
-}
-
-/// Cache-blocked product with i-k-j inner ordering.
-pub fn matmul_blocked(a: &Matrix, b: &Matrix) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    debug_validate("matmul_blocked (lhs)", || a.validate());
-    debug_validate("matmul_blocked (rhs)", || b.validate());
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(m, n);
-    matmul_block_into(a, b, out.data_mut(), 0, m);
-    out
-}
-
-/// Multiplies rows `row_start..row_end` of `a` by `b` into `out_rows`
-/// (a row-major buffer of exactly `(row_end − row_start) × b.cols()`).
-#[allow(clippy::needless_range_loop)]
-fn matmul_block_into(
-    a: &Matrix,
-    b: &Matrix,
-    out_rows: &mut [f64],
-    row_start: usize,
-    row_end: usize,
-) {
-    let k = a.cols();
-    let n = b.cols();
-    debug_assert_eq!(out_rows.len(), (row_end - row_start) * n);
-    for kk in (0..k).step_by(BLOCK) {
-        let k_hi = (kk + BLOCK).min(k);
-        for jj in (0..n).step_by(BLOCK) {
-            let j_hi = (jj + BLOCK).min(n);
-            for i in row_start..row_end {
-                let a_row = a.row(i);
-                let out_row = &mut out_rows[(i - row_start) * n..(i - row_start + 1) * n];
-                for p in kk..k_hi {
-                    let aval = a_row[p];
-                    if aval == 0.0 {
-                        continue; // transition matrices are mostly sparse
-                    }
-                    let b_row = &b.row(p)[jj..j_hi];
-                    let o = &mut out_row[jj..j_hi];
-                    for (ov, bv) in o.iter_mut().zip(b_row) {
-                        *ov += aval * bv;
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Packed register-tiled product ([`crate::pack`]); the default kernel
@@ -130,59 +75,9 @@ pub fn matmul_packed_into(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mu
     matmul_packed_rows(a, b, out.data_mut(), 0, m, scratch);
 }
 
-/// Packed product with the row range split across `threads` crossbeam
-/// scoped threads. `threads == 1` (or tiny matrices) falls through to the
-/// single-threaded kernel.
-pub fn matmul_threaded(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    let mut scratch = PackScratch::default();
-    matmul_threaded_into(a, b, &mut out, threads, &mut scratch);
-    out
-}
-
-/// [`matmul_threaded`] into a caller-owned output. The serial
-/// fall-through (`threads == 1` or a tiny product) uses the caller's
-/// `scratch` and allocates nothing; parallel bands pack into per-thread
-/// buffers, so per-row output words are written by exactly one thread
-/// and the result is bit-identical to the serial kernel.
-pub fn matmul_threaded_into(
-    a: &Matrix,
-    b: &Matrix,
-    out: &mut Matrix,
-    threads: usize,
-    scratch: &mut PackScratch,
-) {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    debug_validate("matmul_threaded (lhs)", || a.validate());
-    debug_validate("matmul_threaded (rhs)", || b.validate());
-    let (m, n) = (a.rows(), b.cols());
-    let threads = threads.max(1).min(m.max(1));
-    if threads == 1 || m * n < 64 * 64 {
-        matmul_packed_into(a, b, out, scratch);
-        return;
-    }
-    out.reset(m, n);
-    let rows_per = m.div_ceil(threads);
-    {
-        let mut bands: Vec<&mut [f64]> = out.data_mut().chunks_mut(rows_per * n).collect();
-        crossbeam::thread::scope(|scope| {
-            for (t, band) in bands.drain(..).enumerate() {
-                let row_start = t * rows_per;
-                let row_end = (row_start + rows_per).min(m);
-                scope.spawn(move |_| {
-                    let mut local = PackScratch::default();
-                    matmul_packed_rows(a, b, band, row_start, row_end, &mut local);
-                });
-            }
-        })
-        .expect("matmul worker thread panicked"); // er-lint: allow(panic) -- re-raises a worker panic on the caller thread
-    }
-}
-
-/// Packed product with row bands submitted as jobs to a shared worker
-/// pool. Identical banding (and therefore bit-identical results) to
-/// [`matmul_threaded`]; serial pools and tiny products fall through to
-/// the single-threaded kernel.
+/// Packed product with row strips submitted as jobs to a shared worker
+/// pool, bit-identical to [`matmul_packed`]; serial pools and tiny
+/// products fall through to the single-threaded kernel.
 pub fn matmul_pooled(a: &Matrix, b: &Matrix, pool: &WorkerPool) -> Matrix {
     let mut out = Matrix::zeros(0, 0);
     let mut scratch = PackScratch::default();
@@ -271,22 +166,20 @@ mod tests {
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let expect = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]);
         assert_eq!(matmul_naive(&a, &b), expect);
-        assert_eq!(matmul_blocked(&a, &b), expect);
         assert_eq!(matmul_packed(&a, &b), expect);
-        assert_eq!(matmul_threaded(&a, &b, 4), expect);
+        assert_eq!(matmul_pooled(&a, &b, &WorkerPool::new(4)), expect);
     }
 
     #[test]
-    fn packed_is_bit_identical_to_naive_and_blocked_single_panel() {
+    fn packed_is_bit_identical_to_naive_single_panel() {
         // k ≤ KC: one packed panel, so per-element accumulation order is
-        // identical across all three kernels (see crate::pack docs).
+        // identical across the kernels (see crate::pack docs).
         let n = 97;
         assert!(n <= KC);
         let a = deterministic(n, n, 11);
         let b = deterministic(n, n, 12);
         let packed = matmul_packed(&a, &b);
         assert_eq!(packed, matmul_naive(&a, &b));
-        assert_eq!(packed, matmul_blocked(&a, &b));
     }
 
     #[test]
@@ -306,33 +199,9 @@ mod tests {
         let a = deterministic(3, 7, 1);
         let b = deterministic(7, 5, 2);
         let naive = matmul_naive(&a, &b);
-        assert!(matmul_blocked(&a, &b).approx_eq(&naive, 1e-12));
+        assert!(matmul_packed(&a, &b).approx_eq(&naive, 1e-12));
         assert_eq!(naive.rows(), 3);
         assert_eq!(naive.cols(), 5);
-    }
-
-    #[test]
-    fn blocked_matches_naive_past_block_boundary() {
-        let n = BLOCK + 17;
-        let a = deterministic(n, n, 3);
-        let b = deterministic(n, n, 4);
-        let naive = matmul_naive(&a, &b);
-        assert!(matmul_blocked(&a, &b).approx_eq(&naive, 1e-9));
-    }
-
-    #[test]
-    fn threaded_is_bit_identical_to_packed() {
-        let n = 97;
-        let a = deterministic(n, n, 5);
-        let b = deterministic(n, n, 6);
-        let single = matmul_packed(&a, &b);
-        for threads in [2, 3, 8] {
-            assert_eq!(
-                matmul_threaded(&a, &b, threads),
-                single,
-                "threads={threads}"
-            );
-        }
     }
 
     #[test]
@@ -348,14 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn deep_k_threaded_and_pooled_match_serial_packed() {
+    fn deep_k_pooled_matches_serial_packed() {
         // k > KC exercises the multi-panel write-back; band splits must
         // still be bit-identical to the serial packed kernel.
         let (m, k, n) = (70, 2 * KC + 3, 40);
         let a = deterministic(m, k, 30);
         let b = deterministic(k, n, 31);
         let single = matmul_packed(&a, &b);
-        assert_eq!(matmul_threaded(&a, &b, 8), single);
         let pool = WorkerPool::new(4);
         assert_eq!(matmul_pooled(&a, &b, &pool), single);
         assert!(single.approx_eq(&matmul_naive(&a, &b), 1e-9));
@@ -375,27 +243,27 @@ mod tests {
     fn zero_and_identity() {
         let a = deterministic(10, 10, 7);
         let z = Matrix::zeros(10, 10);
-        assert!(matmul_blocked(&a, &z).approx_eq(&z, 0.0));
-        assert!(matmul_blocked(&a, &Matrix::identity(10)).approx_eq(&a, 1e-12));
+        assert!(matmul_packed(&a, &z).approx_eq(&z, 0.0));
+        assert!(matmul_packed(&a, &Matrix::identity(10)).approx_eq(&a, 1e-12));
     }
 
     #[test]
     fn one_by_one() {
         let a = Matrix::from_rows(&[&[3.0]]);
         let b = Matrix::from_rows(&[&[4.0]]);
-        assert_eq!(matmul_blocked(&a, &b).get(0, 0), 12.0);
+        assert_eq!(matmul_packed(&a, &b).get(0, 0), 12.0);
     }
 
     #[test]
     fn empty_dims() {
         let a = Matrix::zeros(0, 0);
-        let out = matmul_blocked(&a, &a);
+        let out = matmul_packed(&a, &a);
         assert_eq!(out.rows(), 0);
     }
 
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn mismatched_inner_dims() {
-        matmul_blocked(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
+        matmul_packed(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
     }
 }

@@ -35,7 +35,7 @@
 //! the textbook triple loop ([`crate::matmul_naive`]). Accumulators are
 //! per-row independent (no cross-row floating-point operation), so
 //! splitting the row range across threads at *any* boundary — the
-//! decomposition `matmul_threaded` / `matmul_pooled` use — reproduces
+//! decomposition [`crate::matmul_pooled`] uses — reproduces
 //! the serial result bit for bit at every thread count.
 
 use er_pool::ScratchSlot;
@@ -71,7 +71,7 @@ pub const KC: usize = 256;
 /// and are then reused allocation-free: `clear()` + `resize()` on a
 /// `Vec` whose capacity already suffices never touches the allocator.
 /// One scratch must not be shared across concurrent products; the
-/// threaded/pooled kernels give each row band its own.
+/// pooled kernel gives each row strip its own.
 #[derive(Debug, Default)]
 pub struct PackScratch {
     /// Packed `A` strip: `KC × MR`, `k`-major.
@@ -138,7 +138,7 @@ fn microkernel(a_pack: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
 /// Multiplies rows `row_start..row_end` of `a` by `b` into `out_rows`
 /// (a zeroed row-major buffer of `(row_end − row_start) × b.cols()`),
 /// using `scratch` for the packed operands. This is the band kernel the
-/// serial, threaded, and pooled front ends all share; per-row results
+/// serial and pooled front ends share; per-row results
 /// are independent of the band split (see the module docs), so every
 /// decomposition is bit-identical.
 pub fn matmul_packed_rows(

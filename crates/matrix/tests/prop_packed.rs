@@ -2,14 +2,13 @@
 //! straddling the MR/NR tile edges and the KC depth panel must produce
 //! *bit-identical* results to the naive i-k-j reference (both accumulate
 //! per output element in ascending-k order, so for k ≤ KC there is no
-//! rounding slack at all), and the threaded/pooled row-band splits must be
+//! rounding slack at all), and the pooled row-strip splits must be
 //! bit-identical to the serial packed kernel at every thread count.
 
 use er_matrix::{
-    matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, matmul_threaded, Matrix,
-    PackScratch, KC, MR, NR,
+    matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, Matrix, PackScratch, KC, MR, NR,
 };
-use er_pool::WorkerPool;
+use er_pool::{DispatchPolicy, WorkerPool};
 use proptest::prelude::*;
 
 /// Dimensions that exercise every tail case: degenerate sizes, the NR
@@ -74,12 +73,10 @@ proptest! {
     }
 
     #[test]
-    fn threaded_and_pooled_bit_identical_at_any_thread_count((a, b) in ragged_pair()) {
+    fn pooled_bit_identical_at_any_thread_count((a, b) in ragged_pair()) {
         let serial = matmul_packed(&a, &b);
         for threads in [1usize, 2, 8] {
-            let t = matmul_threaded(&a, &b, threads);
-            prop_assert_eq!(t.data(), serial.data(), "threads={}", threads);
-            let pool = WorkerPool::new(threads);
+            let pool = WorkerPool::with_policy(threads, DispatchPolicy::always_parallel());
             let p = matmul_pooled(&a, &b, &pool);
             prop_assert_eq!(p.data(), serial.data(), "pooled threads={}", threads);
         }
@@ -99,8 +96,9 @@ proptest! {
         let b = Matrix::from_fn(k, n, |i, j| a_seed[(i * 13 + j * 29) % 16] * 0.25);
         let serial = matmul_packed(&a, &b);
         for threads in [2usize, 8] {
-            let t = matmul_threaded(&a, &b, threads);
-            prop_assert_eq!(t.data(), serial.data(), "threads={}", threads);
+            let pool = WorkerPool::with_policy(threads, DispatchPolicy::always_parallel());
+            let p = matmul_pooled(&a, &b, &pool);
+            prop_assert_eq!(p.data(), serial.data(), "threads={}", threads);
         }
     }
 }

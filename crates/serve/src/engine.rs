@@ -17,22 +17,14 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use er_core::{CliqueRankCache, FusionConfig, FusionOutcome, Resolver};
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+use er_graph::BipartiteGraph;
 use er_pool::WorkerPool;
 use er_text::lsh::SignatureCache;
-use er_text::{
-    BatchScorer, BlockingStrategy, Corpus, CorpusBuilder, SimKernel, StreamingCorpus, TermId,
-};
+use er_text::{seed_similarities, BlockingStrategy, Corpus, CorpusBuilder, StreamingCorpus};
 
 use crate::snapshot::{QueryHandle, SharedState, Snapshot};
 
-/// Default frequent-term cap, matching the batch pipeline's
-/// `unsupervised_er::pipeline::DEFAULT_MAX_DF_FRACTION`.
-pub const DEFAULT_MAX_DF_FRACTION: f64 = 0.05;
-
-/// Seed-similarity kernel, matching the batch pipeline's
-/// `unsupervised_er::pipeline::SEED_KERNEL`.
-pub const SEED_KERNEL: SimKernel = SimKernel::JaroWinkler;
+pub use er_text::{DEFAULT_MAX_DF_FRACTION, SEED_KERNEL};
 
 /// Default [`ServeConfig::cache_max_age`]: cached component solutions
 /// untouched for this many resolve epochs are evicted.
@@ -99,7 +91,7 @@ impl ServeEngine {
             pool,
             corpus,
             signatures: SignatureCache::new(),
-            cache: CliqueRankCache::exact(),
+            cache: CliqueRankCache::new(),
             shared: Arc::new(SharedState::new()),
             resolved_records: 0,
             resolves: 0,
@@ -183,15 +175,11 @@ impl ServeEngine {
         let snapshot = if corpus.is_empty() {
             Arc::new(Snapshot::empty(epoch))
         } else {
-            let graph = candidate_graph_cached(
+            let graph = self.config.strategy.candidate_graph(
                 &corpus,
-                &self.config.strategy,
                 &self.pool,
-                &mut self.signatures,
-            );
-            er_obs::gauge_set(
-                "serve.dirty_components",
-                dirty_components(&graph, corpus.len(), self.resolved_records) as f64,
+                Some(&mut self.signatures),
+                None,
             );
             let outcome = resolve_graph(
                 &corpus,
@@ -240,55 +228,9 @@ where
     if corpus.is_empty() {
         return Snapshot::empty(0);
     }
-    let graph = candidate_graph(&corpus, &config.strategy, &pool);
+    let graph = config.strategy.candidate_graph(&corpus, &pool, None, None);
     let outcome = resolve_graph(&corpus, &graph, &config.fusion, &pool, None);
     Snapshot::from_outcome(0, corpus.len(), &graph, outcome)
-}
-
-/// Builds the candidate bipartite graph for `corpus` under `strategy`
-/// (mirrors `unsupervised_er::pipeline::prepare_with_strategy` without a
-/// source policy — the serving engine deduplicates a single stream).
-fn candidate_graph(
-    corpus: &Corpus,
-    strategy: &BlockingStrategy,
-    pool: &WorkerPool,
-) -> BipartiteGraph {
-    let allowed = match strategy {
-        BlockingStrategy::TokenGraph => None,
-        _ => Some(strategy.candidate_pairs(corpus, pool)),
-    };
-    build_graph(corpus, allowed)
-}
-
-/// [`candidate_graph`] with MinHash signatures maintained in `cache` —
-/// identical output.
-fn candidate_graph_cached(
-    corpus: &Corpus,
-    strategy: &BlockingStrategy,
-    pool: &WorkerPool,
-    cache: &mut SignatureCache,
-) -> BipartiteGraph {
-    let allowed = match strategy {
-        BlockingStrategy::TokenGraph => None,
-        _ => Some(strategy.candidate_pairs_cached(corpus, pool, cache)),
-    };
-    build_graph(corpus, allowed)
-}
-
-fn build_graph(corpus: &Corpus, allowed: Option<Vec<(u32, u32)>>) -> BipartiteGraph {
-    let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-    for i in 0..corpus.vocab_len() {
-        let t = TermId(i as u32);
-        builder = builder.postings(t.0, corpus.postings(t));
-    }
-    if let Some(allowed) = allowed {
-        builder = builder.pair_filter(move |a, b| {
-            allowed
-                .binary_search(&if a < b { (a, b) } else { (b, a) })
-                .is_ok()
-        });
-    }
-    builder.build()
 }
 
 /// Seeds ITER with batched [`SEED_KERNEL`] similarities and runs the
@@ -300,48 +242,12 @@ fn resolve_graph(
     pool: &WorkerPool,
     cache: Option<&mut CliqueRankCache>,
 ) -> FusionOutcome {
-    let idx: Vec<(u32, u32)> = graph.pairs().iter().map(|p| (p.a, p.b)).collect();
-    let seed = BatchScorer::new(corpus).score(SEED_KERNEL, &idx, pool);
+    let seed = seed_similarities(corpus, graph, pool);
     let resolver = Resolver::new(config.clone());
     match cache {
         Some(c) => resolver.resolve_cached(graph, Some(&seed), c),
         None => resolver.resolve_seeded(graph, &seed),
     }
-}
-
-/// Number of connected components of the candidate graph containing at
-/// least one record ingested since the previous resolve (id ≥
-/// `resolved_records`) — the components whose CliqueRank solutions
-/// *cannot* replay. This gauge is advisory: correctness never depends
-/// on it, because the cache's content hash also catches clean-looking
-/// components invalidated indirectly (e.g. a frequent-term flip
-/// changing similarities in a component no new record touches).
-fn dirty_components(graph: &BipartiteGraph, n_records: usize, resolved_records: usize) -> usize {
-    let mut parent: Vec<u32> = (0..n_records as u32).collect();
-    fn find(parent: &mut [u32], mut x: u32) -> u32 {
-        while parent[x as usize] != x {
-            parent[x as usize] = parent[parent[x as usize] as usize];
-            x = parent[x as usize];
-        }
-        x
-    }
-    for p in graph.pairs() {
-        let (ra, rb) = (find(&mut parent, p.a), find(&mut parent, p.b));
-        if ra != rb {
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            parent[hi as usize] = lo;
-        }
-    }
-    let mut dirty_root = vec![false; n_records];
-    let mut dirty = 0usize;
-    for r in resolved_records..n_records {
-        let root = find(&mut parent, r as u32) as usize;
-        if !dirty_root[root] {
-            dirty_root[root] = true;
-            dirty += 1;
-        }
-    }
-    dirty
 }
 
 #[cfg(test)]
@@ -476,19 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn dirty_components_counts_components_with_new_records() {
-        let corpus = CorpusBuilder::new()
-            .extend_texts(["a b", "a c", "d e", "d f", "g h"])
-            .build();
-        let graph = build_graph(&corpus, None);
-        // All records new: {0,1}, {2,3}, {4} → 3 dirty components.
-        assert_eq!(dirty_components(&graph, 5, 0), 3);
-        // Only record 4 new: its singleton component alone is dirty.
-        assert_eq!(dirty_components(&graph, 5, 4), 1);
-        assert_eq!(dirty_components(&graph, 5, 5), 0);
-    }
-
-    #[test]
     fn stale_cache_entries_are_evicted_over_epochs() {
         let mut config = small_config();
         config.cache_max_age = 1;
@@ -509,5 +402,55 @@ mod tests {
             "cache stays bounded: {}",
             engine.cache().len()
         );
+    }
+
+    fn restaurant_texts() -> Vec<String> {
+        er_datasets::generators::restaurant::generate(&er_datasets::RestaurantConfig {
+            records: 90,
+            duplicate_pairs: 12,
+            seed: 21,
+        })
+        .texts()
+        .map(str::to_owned)
+        .collect()
+    }
+
+    fn restaurant_config() -> ServeConfig {
+        let mut config = ServeConfig {
+            max_df_fraction: 0.035,
+            ..ServeConfig::default()
+        };
+        config.fusion.threads = 1;
+        config.fusion.rounds = 2;
+        config
+    }
+
+    #[test]
+    fn isolated_record_re_solves_no_component() {
+        let mut engine = ServeEngine::new(restaurant_config());
+        engine.ingest_batch(restaurant_texts());
+        let first = engine.resolve();
+        let (hits, misses) = (engine.cache().hits(), engine.cache().misses());
+        // Shares no term with the corpus, so it joins no component.
+        engine.ingest("zzqqy unique gibberish tokens");
+        let second = engine.resolve();
+        assert_eq!(engine.cache().misses(), misses, "nothing to re-solve");
+        assert!(engine.cache().hits() > hits, "unchanged components replay");
+        assert_eq!(first.matches(), second.matches());
+        // Nothing ingested since: the next resolve republishes the same bits.
+        assert!(engine.resolve().bitwise_eq(&second));
+    }
+
+    #[test]
+    fn appended_duplicate_links_to_its_original() {
+        let mut texts = restaurant_texts();
+        let mut engine = ServeEngine::new(restaurant_config());
+        engine.ingest_batch(&texts);
+        engine.resolve();
+        let copy = engine.ingest(&texts[0]);
+        let snap = engine.resolve();
+        assert!(snap.is_match(0, copy), "a copy of record 0 must match it");
+        texts.push(texts[0].clone());
+        assert!(snap.bitwise_eq(&resolve_batch(texts, engine.config())));
     }
 }

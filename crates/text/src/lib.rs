@@ -14,7 +14,10 @@
 //! * [`corpus`] — a [`Corpus`] of tokenized records with frequent-term
 //!   filtering, inverted indexes, and TF/IDF statistics.
 //! * [`blocking`] — scalable candidate generation (token blocking,
-//!   sorted-neighborhood, and the [`BlockingStrategy`] switch).
+//!   sorted-neighborhood, and the [`BlockingStrategy`] switch), the
+//!   term–pair graph built over its candidates
+//!   ([`BlockingStrategy::candidate_graph`]) and ITER's
+//!   [`seed_similarities`].
 //! * [`lsh`] — MinHash signatures + banding LSH bucketing for
 //!   million-record candidate generation.
 //! * [`metablocking`] — block purging / filtering / edge-weight pruning
@@ -59,7 +62,10 @@ pub mod simeng;
 pub mod streaming;
 pub mod tokenize;
 
-pub use blocking::{sorted_neighborhood, token_blocking, BlockingStrategy, MetaBlocking};
+pub use blocking::{
+    seed_similarities, sorted_neighborhood, token_blocking, BlockingStrategy, MetaBlocking,
+    DEFAULT_MAX_DF_FRACTION, SEED_KERNEL,
+};
 pub use corpus::{Corpus, CorpusBuilder};
 pub use lsh::{
     lsh_blocking, lsh_blocking_cached, minhash_band_keys, minhash_band_keys_cached, LshParams,
