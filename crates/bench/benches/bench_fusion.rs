@@ -38,11 +38,12 @@ use std::time::Instant;
 
 use er_bench::{bench_datasets, fusion_config, prepare, scale_factor};
 use er_core::{
-    run_cliquerank_cached, run_iter, solve_component_into, CliqueRankCache, CliqueScratch, Resolver,
+    run_cliquerank, run_iter, solve_component_into, CliqueRankCache, CliqueScratch, Resolver,
 };
 use er_graph::RecordGraph;
-use er_matrix::{matmul_packed, Matrix};
+use er_matrix::Matrix;
 use er_obs::{BenchFile, BenchRun, GaugeStat, Report, SpanStat};
+use er_pool::WorkerPool;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
@@ -144,7 +145,7 @@ fn main() {
                 // in the fusion report alongside the ITER/CliqueRank
                 // phases.
                 let run = recorded_run("fusion", &name, "pooled", threads, || {
-                    let pool = er_pool::WorkerPool::with_policy(cfg.threads, cfg.dispatch);
+                    let pool = WorkerPool::with_policy(cfg.threads, cfg.dispatch);
                     let seed = unsupervised_er::pipeline::seed_similarities(
                         &prepared.corpus,
                         &prepared.graph,
@@ -207,12 +208,12 @@ fn main() {
 /// reports) and the steady-state allocation gauge for one dataset.
 fn cache_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file: &mut BenchFile) {
     let cfg = fusion_config();
-    let mut cr = cfg.cliquerank;
-    cr.threads = 1;
+    let cr = cfg.cliquerank;
+    let pool = WorkerPool::new(1);
     // Round-1 similarities give the record graph the fused pipeline
     // would hand to CliqueRank.
     let uniform = vec![1.0f64; graph.pair_count()];
-    let iter_out = run_iter(graph, &uniform, &cfg.iter);
+    let iter_out = run_iter(graph, &uniform, &cfg.iter, &pool);
     let gr = RecordGraph::from_pair_scores(
         graph.record_count(),
         graph.pairs(),
@@ -223,14 +224,14 @@ fn cache_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file: &mut
     let mut cold = Vec::new();
     let cold_run = recorded_run("cliquerank_cache", name, "cold", 1, || {
         let (out, _) = er_obs::time("cliquerank_cache_solve", || {
-            run_cliquerank_cached(&gr, &cr, &mut cache)
+            run_cliquerank(&gr, &cr, &pool, Some(&mut cache))
         });
         cold = out;
     });
     let mut warm = Vec::new();
     let warm_run = recorded_run("cliquerank_cache", name, "warm", 1, || {
         let (out, _) = er_obs::time("cliquerank_cache_solve", || {
-            run_cliquerank_cached(&gr, &cr, &mut cache)
+            run_cliquerank(&gr, &cr, &pool, Some(&mut cache))
         });
         warm = out;
     });
@@ -336,7 +337,7 @@ fn matmul_runs(file: &mut BenchFile) {
         let packed_run = recorded_run("matmul", &dataset, "packed", 1, || {
             for _ in 0..3 {
                 let _span = er_obs::span("matmul_kernel");
-                std::hint::black_box(matmul_packed(&a, &b));
+                std::hint::black_box(a.matmul(&b));
             }
         });
         // Best-of-3 (min), the least noisy figure.

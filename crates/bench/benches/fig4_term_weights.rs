@@ -9,12 +9,14 @@
 //!
 //! Run: `cargo bench --bench fig4_term_weights`.
 
-use er_bench::{bench_datasets, prepare, scale_factor};
+use er_bench::{bench_datasets, bench_threads, prepare, scale_factor};
 use er_core::{run_iter, IterConfig};
 use er_eval::{term_discriminativeness, term_score_series};
+use er_pool::WorkerPool;
 
 fn main() {
     let scale = scale_factor();
+    let pool = WorkerPool::new(bench_threads());
     println!("Figure 4 — score(t) vs rank of learned weight (scale factor {scale})");
     for bench in bench_datasets(scale) {
         let prepared = prepare(&bench);
@@ -25,6 +27,7 @@ fn main() {
             graph,
             &vec![1.0; graph.pair_count()],
             &IterConfig::default(),
+            &pool,
         );
         let scores: Vec<Option<f64>> = (0..graph.term_count() as u32)
             .map(|t| {

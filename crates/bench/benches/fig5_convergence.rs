@@ -7,11 +7,13 @@
 //!
 //! Run: `cargo bench --bench fig5_convergence`.
 
-use er_bench::{bench_datasets, prepare, scale_factor};
+use er_bench::{bench_datasets, bench_threads, prepare, scale_factor};
 use er_core::{run_iter, IterConfig};
+use er_pool::WorkerPool;
 
 fn main() {
     let scale = scale_factor();
+    let pool = WorkerPool::new(bench_threads());
     println!("Figure 5 — Convergence of ITER (scale factor {scale})");
     for bench in bench_datasets(scale) {
         let prepared = prepare(&bench);
@@ -23,6 +25,7 @@ fn main() {
                 tolerance: 0.0, // run all 20 iterations like the figure
                 ..Default::default()
             },
+            &pool,
         );
         println!(
             "\n[{}] L1 weight update per iteration (first 20):",

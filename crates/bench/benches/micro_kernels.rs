@@ -2,22 +2,17 @@
 //! dense matmul (CliqueRank's inner loop), one ITER sweep, a CliqueRank
 //! component solve, and RSS walks.
 //!
-//! Each kernel is measured serially (`threads: 1`) and on a shared
-//! [`er_pool::WorkerPool`] at 2 and 4 threads, so a single run reports
+//! Each kernel is measured on a 1-thread [`er_pool::WorkerPool`] (the
+//! serial baseline) and at 2 and 4 threads, so a single run reports
 //! the serial-vs-pool speedup. Because every parallel path is
 //! bit-identical to the serial one, the variants compute the same
 //! result; only the wall clock differs.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use er_core::{
-    run_cliquerank, run_cliquerank_pooled, run_iter, run_iter_pooled, run_rss_subset,
-    run_rss_subset_pooled, CliqueRankConfig, IterConfig, RssConfig,
-};
+use er_core::{run_cliquerank, run_iter, run_rss_subset, CliqueRankConfig, IterConfig, RssConfig};
 use er_graph::bipartite::PairNode;
 use er_graph::{BipartiteGraphBuilder, RecordGraph};
-use er_matrix::{
-    matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, Matrix, PackScratch,
-};
+use er_matrix::{matmul_into, matmul_naive, Matrix, PackScratch};
 use er_pool::WorkerPool;
 
 /// Pool sizes benchmarked against the serial baseline.
@@ -39,14 +34,14 @@ fn bench_matmul(c: &mut Criterion) {
         let a = deterministic(n, 1);
         let b = deterministic(n, 2);
         group.bench_function(format!("packed_{n}"), |bench| {
-            bench.iter(|| matmul_packed(&a, &b));
+            bench.iter(|| a.matmul(&b));
         });
         // The zero-allocation variant the CliqueRank recurrence runs on:
         // output and pack buffers reused across calls.
         let mut scratch = PackScratch::default();
         let mut out = Matrix::zeros(n, n);
         group.bench_function(format!("packed_into_{n}"), |bench| {
-            bench.iter(|| matmul_packed_into(&a, &b, &mut out, &mut scratch));
+            bench.iter(|| matmul_into(&a, &b, &mut out, None, &mut scratch));
         });
         if n <= 128 {
             group.bench_function(format!("naive_{n}"), |bench| {
@@ -56,7 +51,7 @@ fn bench_matmul(c: &mut Criterion) {
         for threads in POOL_SIZES {
             let pool = WorkerPool::new(threads);
             group.bench_function(format!("pooled_{n}_t{threads}"), |bench| {
-                bench.iter(|| matmul_pooled(&a, &b, &pool));
+                bench.iter(|| matmul_into(&a, &b, &mut out, Some(&pool), &mut scratch));
             });
         }
     }
@@ -86,18 +81,16 @@ fn walk_graph(cliques: usize, size: usize) -> RecordGraph {
 
 fn bench_cliquerank(c: &mut Criterion) {
     let graph = walk_graph(4, 24);
-    let config = CliqueRankConfig {
-        threads: 1,
-        ..Default::default()
-    };
+    let config = CliqueRankConfig::default();
+    let serial = WorkerPool::new(1);
     let mut group = c.benchmark_group("cliquerank");
     group.bench_function("serial_4x24", |b| {
-        b.iter(|| run_cliquerank(&graph, &config));
+        b.iter(|| run_cliquerank(&graph, &config, &serial, None));
     });
     for threads in POOL_SIZES {
         let pool = WorkerPool::new(threads);
         group.bench_function(format!("pooled_4x24_t{threads}"), |b| {
-            b.iter(|| run_cliquerank_pooled(&graph, &config, &pool));
+            b.iter(|| run_cliquerank(&graph, &config, &pool, None));
         });
     }
     group.finish();
@@ -108,15 +101,15 @@ fn bench_kernels(c: &mut Criterion) {
     // A sparse graph (chain of small cliques) where the edgewise kernel
     // should win, in one connected component.
     let sparse_graph = walk_graph(24, 4);
+    let serial = WorkerPool::new(1);
     let mut group = c.benchmark_group("cliquerank_kernel");
     for (name, kernel) in [("dense", Kernel::Dense), ("sparse", Kernel::Sparse)] {
         let config = CliqueRankConfig {
-            threads: 1,
             kernel,
             ..Default::default()
         };
         group.bench_function(format!("{name}_chain24x4"), |b| {
-            b.iter(|| run_cliquerank(&sparse_graph, &config));
+            b.iter(|| run_cliquerank(&sparse_graph, &config, &serial, None));
         });
     }
     group.finish();
@@ -126,18 +119,18 @@ fn bench_rss(c: &mut Criterion) {
     let graph = walk_graph(4, 24);
     let config = RssConfig {
         walks_per_edge: 10,
-        threads: 1,
         ..Default::default()
     };
     let edges: Vec<u32> = (0..100.min(graph.pairs().len() as u32)).collect();
+    let serial = WorkerPool::new(1);
     let mut group = c.benchmark_group("rss");
     group.bench_function("serial_100edges_10walks", |b| {
-        b.iter(|| run_rss_subset(&graph, &config, &edges));
+        b.iter(|| run_rss_subset(&graph, &config, &edges, &serial));
     });
     for threads in POOL_SIZES {
         let pool = WorkerPool::new(threads);
         group.bench_function(format!("pooled_100edges_10walks_t{threads}"), |b| {
-            b.iter(|| run_rss_subset_pooled(&graph, &config, &edges, &pool));
+            b.iter(|| run_rss_subset(&graph, &config, &edges, &pool));
         });
     }
     group.finish();
@@ -166,15 +159,13 @@ fn bench_iter(c: &mut Criterion) {
     }
     let graph = builder.build();
     let prob = vec![1.0; graph.pair_count()];
-    let serial = IterConfig {
-        threads: 1,
-        ..Default::default()
-    };
+    let config = IterConfig::default();
+    let serial = WorkerPool::new(1);
     let mut group = c.benchmark_group("iter");
     group.bench_function("serial_200r_400t", |b| {
         b.iter_batched(
             || prob.clone(),
-            |p| run_iter(&graph, &p, &serial),
+            |p| run_iter(&graph, &p, &config, &serial),
             BatchSize::SmallInput,
         );
     });
@@ -183,7 +174,7 @@ fn bench_iter(c: &mut Criterion) {
         group.bench_function(format!("pooled_200r_400t_t{threads}"), |b| {
             b.iter_batched(
                 || prob.clone(),
-                |p| run_iter_pooled(&graph, &p, &serial, &pool),
+                |p| run_iter(&graph, &p, &config, &pool),
                 BatchSize::SmallInput,
             );
         });

@@ -29,6 +29,7 @@ use er_bench::{bench_datasets, fmt_duration, fusion_config, prepare, scale_facto
 use er_core::{run_rss_subset, FusionConfig, Resolver, RssConfig};
 use er_graph::RecordGraph;
 use er_obs::{BenchFile, BenchRun, GaugeStat};
+use er_pool::WorkerPool;
 
 /// Pool size for the serial-vs-pool fusion comparison.
 const POOL_THREADS: usize = 4;
@@ -150,9 +151,10 @@ fn main() {
             prepared.graph.pairs(),
             &outcome.pair_similarities,
         );
+        let pool = WorkerPool::new(er_core::default_threads());
         let mut cliquerank_run = recorded_run("table3_cliquerank", name, "full", 1, || {
             let _span = er_obs::span("cliquerank_full");
-            let _ = er_core::run_cliquerank(&gr, &er_bench::fusion_config().cliquerank);
+            let _ = er_core::run_cliquerank(&gr, &fusion_config().cliquerank, &pool, None);
         });
         let cliquerank_full = span_duration(&cliquerank_run, "cliquerank_full");
 
@@ -161,7 +163,7 @@ fn main() {
         let stride = (n_edges / sample).max(1);
         let sampled: Vec<u32> = (0..n_edges).step_by(stride).map(|i| i as u32).collect();
         let mut rss_run = recorded_run("table3_rss", name, "sample", 1, || {
-            let _ = run_rss_subset(&gr, &RssConfig::default(), &sampled);
+            let _ = run_rss_subset(&gr, &RssConfig::default(), &sampled, &pool);
         });
         let rss_sample_time = span_duration(&rss_run, "rss");
         let rss_full = rss_sample_time.mul_f64(n_edges as f64 / sampled.len() as f64);

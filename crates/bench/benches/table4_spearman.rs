@@ -74,6 +74,7 @@ fn main() {
             graph,
             &vec![1.0; graph.pair_count()],
             &IterConfig::default(),
+            &pool,
         );
         // PageRank (TW-IDF) term salience on the co-occurrence graph.
         let pagerank = TwIdfScorer::default().term_salience(&prepared.corpus);

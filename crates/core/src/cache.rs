@@ -10,7 +10,8 @@
 //! key: similarities enter the hash as their exact `f64` bits, so a
 //! replayed component is **bit-identical** to a recomputation — the
 //! contract `er-serve` pins incremental resolution against a
-//! from-scratch batch run with.
+//! from-scratch batch run with. The cache is an argument of
+//! [`crate::run_cliquerank`] (and of [`crate::Resolver::resolve_cached`]).
 //!
 //! For long-lived engines the cache also tracks a **generation** (bumped
 //! once per resolve): every hit or insert stamps the entry, and
@@ -24,9 +25,8 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use er_graph::RecordGraph;
-use er_pool::WorkerPool;
 
-use crate::cliquerank::{solve_component_public, CliqueScratch};
+use crate::cliquerank::CliqueScratch;
 use crate::config::CliqueRankConfig;
 
 /// One cached component: probabilities in local edge order, plus the
@@ -96,6 +96,35 @@ impl CliqueRankCache {
         self.generation += 1;
     }
 
+    /// The stored probabilities of component `key`, stamped with the
+    /// current generation; counts a hit, or a miss when absent.
+    pub(crate) fn replay(&mut self, key: u64) -> Option<&[f64]> {
+        match self.map.get_mut(&key) {
+            Some(entry) => {
+                self.hits += 1;
+                er_obs::counter_add("cliquerank_cache_hits_total", 1);
+                entry.last_used = self.generation;
+                Some(&entry.values)
+            }
+            None => {
+                self.misses += 1;
+                er_obs::counter_add("cliquerank_cache_misses_total", 1);
+                None
+            }
+        }
+    }
+
+    /// Stores a solved component's probabilities (local edge order).
+    pub(crate) fn store(&mut self, key: u64, values: Vec<f64>) {
+        let last_used = self.generation;
+        self.map.insert(key, CacheEntry { values, last_used });
+    }
+
+    /// The solver scratch reused across misses.
+    pub(crate) fn scratch(&mut self) -> &mut CliqueScratch {
+        &mut self.scratch
+    }
+
     /// Evicts entries not touched within the last `max_age` generations
     /// (a dirtied component's old content key is never looked up again),
     /// returning how many were dropped. `max_age = 0` keeps only entries
@@ -111,7 +140,11 @@ impl CliqueRankCache {
 
 /// Content hash of one component: members, local edges, similarities and
 /// the solver configuration knobs that affect the result.
-fn component_hash(graph: &RecordGraph, members: &[u32], config: &CliqueRankConfig) -> u64 {
+pub(crate) fn component_hash(
+    graph: &RecordGraph,
+    members: &[u32],
+    config: &CliqueRankConfig,
+) -> u64 {
     let mut h = DefaultHasher::new();
     config.alpha.to_bits().hash(&mut h);
     config.steps.hash(&mut h);
@@ -140,128 +173,11 @@ fn component_hash(graph: &RecordGraph, members: &[u32], config: &CliqueRankConfi
     h.finish()
 }
 
-/// [`crate::run_cliquerank`] with component-level caching.
-///
-/// Returns the matching probability per edge, aligned with
-/// [`RecordGraph::pairs`], identical to the uncached run (cached entries
-/// were produced by the same solver on an identical component).
-pub fn run_cliquerank_cached(
-    graph: &RecordGraph,
-    config: &CliqueRankConfig,
-    cache: &mut CliqueRankCache,
-) -> Vec<f64> {
-    run_cliquerank_cached_impl(graph, config, cache, None)
-}
-
-/// [`run_cliquerank_cached`] with pooled re-solves: cache misses hand
-/// the worker pool down to the component solver (intra-component matrix
-/// parallelism) when the pool's cost model says the total miss work
-/// warrants it. Replays stay on the caller thread — the steady-state
-/// incremental resolve touches only the dirtied components, and those
-/// are exactly the misses this dispatch decision covers.
-///
-/// Output is bit-identical to [`run_cliquerank_cached`] and to the
-/// uncached [`crate::run_cliquerank`] at any thread count.
-pub fn run_cliquerank_cached_pooled(
-    graph: &RecordGraph,
-    config: &CliqueRankConfig,
-    cache: &mut CliqueRankCache,
-    pool: &WorkerPool,
-) -> Vec<f64> {
-    run_cliquerank_cached_impl(graph, config, cache, Some(pool))
-}
-
-fn run_cliquerank_cached_impl(
-    graph: &RecordGraph,
-    config: &CliqueRankConfig,
-    cache: &mut CliqueRankCache,
-    pool: Option<&WorkerPool>,
-) -> Vec<f64> {
-    let comps = graph.components();
-    let mut out = vec![0.0f64; graph.pairs().len()];
-    let mut local_of = vec![u32::MAX; graph.node_count()];
-    // Dispatch for the per-component re-solves: the replayed components
-    // cost nothing, so the decision rides on the miss work alone —
-    // estimated as the dense recurrence bound Σ n³ over components whose
-    // key is absent.
-    let miss_pool = pool.filter(|p| {
-        let miss_work: usize = comps
-            .members
-            .iter()
-            .filter(|m| m.len() >= 2)
-            .filter(|m| {
-                let key = component_hash(graph, m, config);
-                !cache.map.contains_key(&key)
-            })
-            .map(|m| m.len().pow(3))
-            .sum();
-        p.dispatch(miss_work).is_parallel()
-    });
-    let generation = cache.generation;
-    for members in &comps.members {
-        if members.len() < 2 {
-            continue;
-        }
-        // Component-local edge index list (ascending pair order).
-        let mut edge_indices = Vec::new();
-        for &g in members {
-            for &nb in graph.neighbors(g).0 {
-                if nb > g {
-                    let pair = er_graph::bipartite::PairNode::new(g, nb);
-                    let idx = graph
-                        .pairs()
-                        .binary_search(&pair)
-                        .expect("edge must correspond to a retained pair"); // er-lint: allow(panic) -- every graph edge comes from the retained pair universe
-                    edge_indices.push(idx);
-                }
-            }
-        }
-        edge_indices.sort_unstable();
-
-        let key = component_hash(graph, members, config);
-        if let Some(stored) = cache.map.get_mut(&key) {
-            cache.hits += 1;
-            stored.last_used = generation;
-            er_obs::counter_add("cliquerank_cache_hits_total", 1);
-            debug_assert_eq!(stored.values.len(), edge_indices.len());
-            for (&idx, &p) in edge_indices.iter().zip(&stored.values) {
-                out[idx] = p;
-            }
-            continue;
-        }
-        cache.misses += 1;
-        er_obs::counter_add("cliquerank_cache_misses_total", 1);
-        for (li, &g) in members.iter().enumerate() {
-            local_of[g as usize] = li as u32;
-        }
-        solve_component_public(
-            graph,
-            members,
-            &local_of,
-            config,
-            miss_pool,
-            &mut out,
-            &mut cache.scratch,
-        );
-        for &g in members {
-            local_of[g as usize] = u32::MAX;
-        }
-        let values: Vec<f64> = edge_indices.iter().map(|&idx| out[idx]).collect();
-        cache.map.insert(
-            key,
-            CacheEntry {
-                values,
-                last_used: generation,
-            },
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use er_graph::bipartite::PairNode;
+    use er_pool::WorkerPool;
 
     fn pairs(ps: &[(u32, u32)]) -> Vec<PairNode> {
         ps.iter().map(|&(a, b)| PairNode::new(a, b)).collect()
@@ -272,18 +188,29 @@ mod tests {
     }
 
     fn cfg() -> CliqueRankConfig {
-        CliqueRankConfig {
-            threads: 1,
-            ..Default::default()
-        }
+        CliqueRankConfig::default()
+    }
+
+    /// CliqueRank on a 1-thread pool through `cache`.
+    fn run_cached(
+        g: &RecordGraph,
+        config: &CliqueRankConfig,
+        cache: &mut CliqueRankCache,
+    ) -> Vec<f64> {
+        crate::run_cliquerank(g, config, &WorkerPool::new(1), Some(cache))
+    }
+
+    /// Uncached CliqueRank on a 1-thread pool.
+    fn run_plain(g: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
+        crate::run_cliquerank(g, config, &WorkerPool::new(1), None)
     }
 
     #[test]
     fn cached_equals_uncached() {
         let g = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
-        let plain = crate::run_cliquerank(&g, &cfg());
+        let plain = run_plain(&g, &cfg());
         let mut cache = CliqueRankCache::new();
-        let cached = run_cliquerank_cached(&g, &cfg(), &mut cache);
+        let cached = run_cached(&g, &cfg(), &mut cache);
         assert_eq!(plain, cached);
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.hits(), 0);
@@ -293,8 +220,8 @@ mod tests {
     fn second_run_hits_everything() {
         let g = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
         let mut cache = CliqueRankCache::new();
-        let first = run_cliquerank_cached(&g, &cfg(), &mut cache);
-        let second = run_cliquerank_cached(&g, &cfg(), &mut cache);
+        let first = run_cached(&g, &cfg(), &mut cache);
+        let second = run_cached(&g, &cfg(), &mut cache);
         assert_eq!(first, second);
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 2);
@@ -304,31 +231,31 @@ mod tests {
     fn touching_one_component_recomputes_only_it() {
         let g1 = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
         let mut cache = CliqueRankCache::new();
-        let _ = run_cliquerank_cached(&g1, &cfg(), &mut cache);
+        let _ = run_cached(&g1, &cfg(), &mut cache);
         // Change a similarity in the second component only.
         let g2 = graph(&[1.0, 0.9, 0.8, 0.7, 0.65]);
-        let out = run_cliquerank_cached(&g2, &cfg(), &mut cache);
+        let out = run_cached(&g2, &cfg(), &mut cache);
         assert_eq!(cache.hits(), 1, "first component unchanged");
         assert_eq!(cache.misses(), 3, "second component recomputed");
-        assert_eq!(out, crate::run_cliquerank(&g2, &cfg()));
+        assert_eq!(out, run_plain(&g2, &cfg()));
     }
 
     #[test]
     fn config_changes_invalidate() {
         let g = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
         let mut cache = CliqueRankCache::new();
-        let _ = run_cliquerank_cached(&g, &cfg(), &mut cache);
+        let _ = run_cached(&g, &cfg(), &mut cache);
         let other = CliqueRankConfig { steps: 7, ..cfg() };
-        let out = run_cliquerank_cached(&g, &other, &mut cache);
+        let out = run_cached(&g, &other, &mut cache);
         assert_eq!(cache.hits(), 0);
-        assert_eq!(out, crate::run_cliquerank(&g, &other));
+        assert_eq!(out, run_plain(&g, &other));
     }
 
     #[test]
     fn clear_drops_entries() {
         let g = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
         let mut cache = CliqueRankCache::new();
-        let _ = run_cliquerank_cached(&g, &cfg(), &mut cache);
+        let _ = run_cached(&g, &cfg(), &mut cache);
         assert!(!cache.is_empty());
         cache.clear();
         assert!(cache.is_empty());
@@ -341,27 +268,12 @@ mod tests {
         let mut drifted = base;
         drifted[4] += 1e-9;
         let mut cache = CliqueRankCache::new();
-        let _ = run_cliquerank_cached(&graph(&base), &cfg(), &mut cache);
-        let out = run_cliquerank_cached(&graph(&drifted), &cfg(), &mut cache);
+        let _ = run_cached(&graph(&base), &cfg(), &mut cache);
+        let out = run_cached(&graph(&drifted), &cfg(), &mut cache);
         assert_eq!(cache.hits(), 1, "only the untouched component replays");
         assert_eq!(cache.misses(), 3);
         // The cache's answer is bitwise the uncached one.
-        assert_eq!(out, crate::run_cliquerank(&graph(&drifted), &cfg()));
-    }
-
-    #[test]
-    fn pooled_cached_matches_serial_cached() {
-        let g = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
-        let pool = WorkerPool::with_policy(4, er_pool::DispatchPolicy::always_parallel());
-        let mut serial_cache = CliqueRankCache::new();
-        let mut pooled_cache = CliqueRankCache::new();
-        let serial = run_cliquerank_cached(&g, &cfg(), &mut serial_cache);
-        let pooled = run_cliquerank_cached_pooled(&g, &cfg(), &mut pooled_cache, &pool);
-        assert_eq!(serial, pooled);
-        // Warm replay through the pooled entry point stays identical.
-        let replay = run_cliquerank_cached_pooled(&g, &cfg(), &mut pooled_cache, &pool);
-        assert_eq!(replay, pooled);
-        assert_eq!(pooled_cache.hits(), 2);
+        assert_eq!(out, run_plain(&graph(&drifted), &cfg()));
     }
 
     #[test]
@@ -369,7 +281,7 @@ mod tests {
         let g1 = graph(&[1.0, 0.9, 0.8, 0.7, 0.6]);
         let mut cache = CliqueRankCache::new();
         assert_eq!(cache.generation(), 0);
-        let _ = run_cliquerank_cached(&g1, &cfg(), &mut cache);
+        let _ = run_cached(&g1, &cfg(), &mut cache);
         assert_eq!(cache.len(), 2);
 
         // Epoch 1: the second component's content changes (dirtied), the
@@ -377,7 +289,7 @@ mod tests {
         cache.bump_generation();
         assert_eq!(cache.generation(), 1);
         let g2 = graph(&[1.0, 0.9, 0.8, 0.7, 0.65]);
-        let _ = run_cliquerank_cached(&g2, &cfg(), &mut cache);
+        let _ = run_cached(&g2, &cfg(), &mut cache);
         assert_eq!(cache.len(), 3, "old second-component entry lingers");
 
         // max_age 1 keeps everything (the cold key is one epoch old)…
@@ -388,8 +300,8 @@ mod tests {
 
         // The survivors still replay bit-identically.
         cache.bump_generation();
-        let out = run_cliquerank_cached(&g2, &cfg(), &mut cache);
-        assert_eq!(out, crate::run_cliquerank(&g2, &cfg()));
+        let out = run_cached(&g2, &cfg(), &mut cache);
+        assert_eq!(out, run_plain(&g2, &cfg()));
         assert_eq!(cache.misses(), 3, "no recomputation after eviction");
     }
 
@@ -402,7 +314,7 @@ mod tests {
             cache.bump_generation();
             let s = 0.6 + (i as f64) * 0.01;
             let g = graph(&[1.0, 0.9, 0.8, 0.7, s]);
-            let _ = run_cliquerank_cached(&g, &cfg(), &mut cache);
+            let _ = run_cached(&g, &cfg(), &mut cache);
             cache.evict_stale(0);
             assert_eq!(cache.len(), 2, "epoch {i}");
         }

@@ -46,12 +46,15 @@
 //! materializes dense matrices **per connected component** — exact, and
 //! far cheaper than one n × n product on sparse record graphs.
 
+use std::cmp::Reverse;
+
 use er_graph::{bipartite::PairNode, RecordGraph};
-use er_matrix::{matmul_packed_into, matmul_pooled_into, Matrix, MatrixArena, PackScratch};
+use er_matrix::{matmul_into, Matrix, MatrixArena, PackScratch};
 use er_pool::{ScratchSlot, WorkerPool};
 
+use crate::cache::{component_hash, CliqueRankCache};
 use crate::config::{BoostMode, CliqueRankConfig, Kernel, Recurrence};
-use crate::sparse_kernel::SparseScratch;
+use crate::sparse_kernel::{solve_component_sparse, sparse_step_cost, SparseScratch};
 
 /// Reusable working memory for the CliqueRank component solver.
 ///
@@ -72,231 +75,266 @@ pub struct CliqueScratch {
     sparse: SparseScratch,
 }
 
-/// Runs CliqueRank; returns the matching probability per edge, aligned
-/// with [`RecordGraph::pairs`].
+/// Runs CliqueRank on the caller's worker pool; returns the matching
+/// probability per edge, aligned with [`RecordGraph::pairs`].
 ///
-/// `config.threads > 1` spins up a transient worker pool; pipeline
-/// callers with a pool of their own should use [`run_cliquerank_pooled`].
-pub fn run_cliquerank(graph: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
-    if config.threads <= 1 {
-        cliquerank_impl(graph, config, None)
-    } else {
-        let pool = WorkerPool::new(config.threads);
-        cliquerank_impl(graph, config, Some(&pool))
-    }
-}
-
-/// [`run_cliquerank`] on an existing worker pool: component chunks become
-/// pool jobs (many components) or the dense products do (few, large
-/// components). Results are identical either way — components are
-/// independent and the pooled matmul is bit-identical to the serial one.
-pub fn run_cliquerank_pooled(
+/// With a [`CliqueRankCache`], every component is hashed once: hits
+/// replay their stored probabilities, the misses are solved and stored.
+/// Solving goes through one cost-ordered scheduler whatever the pool:
+/// below the pool's dispatch cutover every component is solved inline;
+/// above it, components too big for a fair per-worker share run
+/// largest-first on the caller thread with the pool parallelizing
+/// *inside* the recurrence (pooled GEMM row strips / sparse CSR row
+/// ranges), and the rest fan out as per-worker chunks. Components are
+/// independent and every kernel is deterministic, so the output is
+/// bit-identical at any thread count and with or without a cache.
+pub fn run_cliquerank(
     graph: &RecordGraph,
     config: &CliqueRankConfig,
     pool: &WorkerPool,
-) -> Vec<f64> {
-    cliquerank_impl(graph, config, Some(pool))
-}
-
-fn cliquerank_impl(
-    graph: &RecordGraph,
-    config: &CliqueRankConfig,
-    pool: Option<&WorkerPool>,
+    cache: Option<&mut CliqueRankCache>,
 ) -> Vec<f64> {
     assert!(config.alpha > 0.0, "alpha must be positive");
     assert!(config.steps >= 1, "need at least one step");
     let comps = graph.components();
-    let solvable: Vec<&Vec<u32>> = comps.members.iter().filter(|m| m.len() >= 2).collect();
+    let solvable: Vec<&[u32]> = comps
+        .members
+        .iter()
+        .map(Vec::as_slice)
+        .filter(|m| m.len() >= 2)
+        .collect();
     let mut out = vec![0.0f64; graph.pairs().len()];
     er_obs::counter_add("cliquerank_components_total", solvable.len() as u64);
     er_obs::gauge_set(
         "cliquerank_largest_component",
         solvable.iter().map(|m| m.len()).max().unwrap_or(0) as f64,
     );
-
-    // Estimated solve cost per component in elementary operations: the
-    // per-step cost of whichever kernel `solve_component` will pick
-    // (dense product with the same 8× vectorization credit the selector
-    // uses, or the sparse two-pointer walk), times the step count. This
-    // is what the dispatch policy and the scheduler below reason about.
-    let est_cost = |members: &[u32]| -> usize {
-        let nc = members.len();
-        let dense = (nc * nc * nc) / 8;
-        let per_step = if config.neighbor_mask && !matches!(config.kernel, Kernel::Dense) {
-            let sparse = crate::sparse_kernel::sparse_step_cost(graph, members);
-            if matches!(config.kernel, Kernel::Sparse) {
-                sparse
-            } else {
-                sparse.min(dense)
-            }
-        } else {
-            dense
-        };
-        per_step.saturating_mul(config.steps.max(1))
-    };
-
-    // Components are independent, so they parallelize perfectly (the
-    // paper leans on a 32-core server for the same phase) — except when
-    // a few giant components dominate: those are scheduled largest-first
-    // on the caller thread with the pool parallelizing *inside* the
-    // recurrence (pooled GEMM row strips / sparse CSR row ranges), so
-    // one huge block no longer serializes the phase. The remaining
-    // small components fan out as per-worker chunks, and workloads
-    // below the dispatch cutover stay on the caller thread entirely.
-    let pool_threads = pool.map_or(1, er_pool::WorkerPool::threads);
-    let costs: Vec<usize> = solvable.iter().map(|m| est_cost(m)).collect();
-    let total_cost = costs.iter().fold(0usize, |s, &c| s.saturating_add(c));
-    let pool = match pool {
-        Some(p) if p.dispatch(total_cost).is_parallel() => p,
-        _ => {
-            let mut local_of = vec![u32::MAX; graph.node_count()];
-            let mut scratch = CliqueScratch::default();
-            for members in solvable {
-                for (li, &g) in members.iter().enumerate() {
-                    local_of[g as usize] = li as u32;
-                }
-                solve_component(
-                    graph,
-                    members,
-                    &local_of,
-                    config,
-                    pool,
-                    &mut out,
-                    &mut scratch,
-                );
-                for &g in members {
-                    local_of[g as usize] = u32::MAX;
-                }
-            }
-            return out;
-        }
-    };
-
-    // Descending-cost order; stable sort of index positions keeps equal
-    // costs in original order, so the schedule is deterministic.
-    let mut order: Vec<u32> = (0..solvable.len() as u32).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(costs[i as usize]));
-    // A component is "big" when it exceeds a fair per-worker share of
-    // the phase — with component-level chunking it would straddle the
-    // phase's critical path — and is itself past the dispatch cutover.
-    let serial_below = pool.policy().serial_below;
-    let is_big = |i: u32| {
-        let c = costs[i as usize];
-        c.saturating_mul(pool_threads) > total_cost && c >= serial_below
-    };
-    let split = order.partition_point(|&i| is_big(i));
-    let (big, small) = order.split_at(split);
-
-    // Big components: largest first, caller thread, intra-component
-    // parallelism via the pool.
-    let mut scratch = CliqueScratch::default();
-    if !big.is_empty() {
-        er_obs::counter_add("cliquerank_intra_parallel_solves_total", big.len() as u64);
-        let mut local_of = vec![u32::MAX; graph.node_count()];
-        for &i in big {
-            let members = solvable[i as usize];
-            let _span = er_obs::span("component_large");
-            for (li, &g) in members.iter().enumerate() {
-                local_of[g as usize] = li as u32;
-            }
-            solve_component(
-                graph,
-                members,
-                &local_of,
-                config,
-                Some(pool),
-                &mut out,
-                &mut scratch,
-            );
-            for &g in members {
-                local_of[g as usize] = u32::MAX;
-            }
-        }
-    }
-    if small.is_empty() {
+    let Some(cache) = cache else {
+        let mut scratch = CliqueScratch::default();
+        solve_components(graph, &solvable, config, pool, &mut out, &mut scratch);
         return out;
-    }
+    };
 
-    // Per-job config with matmul threading disabled — parallelism lives
-    // at the component level here (nested pooled products would only
-    // fight the component jobs for the same workers).
-    let workers = pool_threads.clamp(1, small.len());
-    let worker_config = CliqueRankConfig {
-        threads: 1,
-        ..*config
-    };
-    let chunks: Vec<Vec<&Vec<u32>>> = {
-        // Round-robin in descending-cost order for rough load balance.
-        let mut chunks: Vec<Vec<&Vec<u32>>> = vec![Vec::new(); workers];
-        for (pos, &i) in small.iter().enumerate() {
-            chunks[pos % workers].push(solvable[i as usize]);
-        }
-        chunks
-    };
-    let mut results: Vec<Vec<(usize, f64)>> = chunks.iter().map(|_| Vec::new()).collect();
-    // Per-worker scratch: each chunk job checks one out, so a worker's
-    // whole component stream reuses the same grown buffers.
-    let scratch_slot: ScratchSlot<CliqueScratch> = ScratchSlot::new();
-    pool.scope(|s| {
-        for (chunk, result) in chunks.iter().zip(results.iter_mut()) {
-            let worker_config = &worker_config;
-            let scratch_slot = &scratch_slot;
-            s.submit(move || {
-                let mut scratch = scratch_slot.checkout();
-                let mut local_out = vec![0.0f64; graph.pairs().len()];
-                let mut local_of = vec![u32::MAX; graph.node_count()];
-                let mut touched = Vec::new();
-                for members in chunk {
-                    for (li, &g) in members.iter().enumerate() {
-                        local_of[g as usize] = li as u32;
-                    }
-                    solve_component(
-                        graph,
-                        members,
-                        &local_of,
-                        worker_config,
-                        None,
-                        &mut local_out,
-                        &mut scratch,
-                    );
-                    for &g in *members {
-                        local_of[g as usize] = u32::MAX;
-                        for &nb in graph.neighbors(g).0 {
-                            if nb > g {
-                                let pair = PairNode::new(g, nb);
-                                let idx = graph
-                                    .pairs()
-                                    .binary_search(&pair)
-                                    .expect("edge is a retained pair"); // er-lint: allow(panic) -- every graph edge comes from the retained pair universe
-                                touched.push((idx, local_out[idx]));
-                            }
-                        }
-                    }
+    // Replay the hits; keep each miss's content key and edge positions
+    // for the store after the solve.
+    let mut misses = Vec::new();
+    let mut pending = Vec::new();
+    for members in solvable {
+        let key = component_hash(graph, members, config);
+        let edges = component_edges(graph, members);
+        match cache.replay(key) {
+            Some(values) => {
+                debug_assert_eq!(values.len(), edges.len());
+                for (&idx, &p) in edges.iter().zip(values) {
+                    out[idx] = p;
                 }
-                *result = touched;
-            });
+            }
+            None => {
+                misses.push(members);
+                pending.push((key, edges));
+            }
         }
-    });
-    for worker_results in results {
-        for (idx, p) in worker_results {
-            out[idx] = p;
-        }
+    }
+    solve_components(graph, &misses, config, pool, &mut out, cache.scratch());
+    for (key, edges) in pending {
+        cache.store(key, edges.iter().map(|&idx| out[idx]).collect());
     }
     out
 }
 
-/// Entry point for the component cache (`crate::cache`): solves one
-/// connected component, writing edge probabilities into `out`.
-pub(crate) fn solve_component_public(
+/// Kernel choice and estimated solve cost of one component.
+#[derive(Debug, Clone, Copy)]
+struct ComponentCost {
+    /// Solve with the edgewise sparse kernel rather than dense products.
+    sparse: bool,
+    /// Estimated elementary operations of the whole recurrence.
+    work: usize,
+}
+
+/// Picks one component's kernel and prices its solve — the estimate the
+/// dispatch decision, the scheduler and [`solve_component`] all read.
+///
+/// The edgewise sparse recursion is exact whenever the neighbor mask is
+/// on; [`Kernel::Auto`] picks it when its per-step cost (the two-pointer
+/// walk) beats the dense product, which gets an 8× constant-factor
+/// credit for its vectorized inner loop. The work is the chosen kernel's
+/// per-step cost times the step count.
+// er-lint: zero-alloc
+fn component_cost(
     graph: &RecordGraph,
     members: &[u32],
-    local_of: &[u32],
+    config: &CliqueRankConfig,
+) -> ComponentCost {
+    let nc = members.len();
+    let dense = nc * nc * nc;
+    let sparse_step = (config.neighbor_mask && config.kernel != Kernel::Dense)
+        .then(|| sparse_step_cost(graph, members));
+    let sparse = match (config.kernel, sparse_step) {
+        (_, None) => false,
+        (Kernel::Sparse, Some(_)) => true,
+        (_, Some(step)) => step.saturating_mul(8) < dense,
+    };
+    let per_step = match sparse_step {
+        Some(step) if sparse => step,
+        _ => dense / 8,
+    };
+    ComponentCost {
+        sparse,
+        work: per_step.saturating_mul(config.steps.max(1)),
+    }
+}
+
+/// The component scheduler: solves every component of `comps` into
+/// `out`, with `scratch` serving the caller thread's solves.
+fn solve_components(
+    graph: &RecordGraph,
+    comps: &[&[u32]],
+    config: &CliqueRankConfig,
+    pool: &WorkerPool,
+    out: &mut [f64],
+    scratch: &mut CliqueScratch,
+) {
+    let costs: Vec<ComponentCost> = comps
+        .iter()
+        .map(|m| component_cost(graph, m, config))
+        .collect();
+    let total_cost = costs.iter().fold(0usize, |s, c| s.saturating_add(c.work));
+    let mut local_of = vec![u32::MAX; graph.node_count()];
+    if !pool.dispatch(total_cost).is_parallel() {
+        for (members, &cost) in comps.iter().zip(&costs) {
+            solve_mapped(
+                graph,
+                members,
+                cost,
+                &mut local_of,
+                config,
+                None,
+                out,
+                scratch,
+            );
+        }
+        return;
+    }
+
+    // Descending-cost order; the stable sort keeps equal costs in
+    // original order, so the schedule is deterministic. A component is
+    // "big" when it exceeds a fair per-worker share of the phase — with
+    // component-level chunking it would straddle the phase's critical
+    // path — and is itself past the dispatch cutover.
+    let mut order: Vec<usize> = (0..comps.len()).collect();
+    order.sort_by_key(|&i| Reverse(costs[i].work));
+    let serial_below = pool.policy().serial_below;
+    let is_big = |i: usize| {
+        let c = costs[i].work;
+        c.saturating_mul(pool.threads()) > total_cost && c >= serial_below
+    };
+    let (big, small) = order.split_at(order.partition_point(|&i| is_big(i)));
+    if !big.is_empty() {
+        er_obs::counter_add("cliquerank_intra_parallel_solves_total", big.len() as u64);
+    }
+    for &i in big {
+        let _span = er_obs::span("component_large");
+        solve_mapped(
+            graph,
+            comps[i],
+            costs[i],
+            &mut local_of,
+            config,
+            Some(pool),
+            out,
+            scratch,
+        );
+    }
+    if small.is_empty() {
+        return;
+    }
+
+    // Small components fan out round-robin in descending-cost order (for
+    // rough load balance). Their solves get no pool — parallelism lives
+    // at the component level here, and nested pooled products would
+    // only fight the component jobs for the same workers. Each job
+    // checks out a per-worker scratch, so a worker's whole component
+    // stream reuses the same grown buffers.
+    let workers = pool.threads().clamp(1, small.len());
+    let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); workers];
+    for (pos, &i) in small.iter().enumerate() {
+        chunks[pos % workers].push(i);
+    }
+    let mut results: Vec<Vec<(usize, f64)>> = vec![Vec::new(); workers];
+    let scratch_slot: ScratchSlot<CliqueScratch> = ScratchSlot::new();
+    pool.scope(|s| {
+        for (chunk, result) in chunks.iter().zip(results.iter_mut()) {
+            let (costs, scratch_slot) = (&costs, &scratch_slot);
+            s.submit(move || {
+                let mut scratch = scratch_slot.checkout();
+                let mut local_out = vec![0.0f64; graph.pairs().len()];
+                let mut local_of = vec![u32::MAX; graph.node_count()];
+                let mut edges = Vec::new();
+                for &i in chunk {
+                    let members = comps[i];
+                    solve_mapped(
+                        graph,
+                        members,
+                        costs[i],
+                        &mut local_of,
+                        config,
+                        None,
+                        &mut local_out,
+                        &mut scratch,
+                    );
+                    edges.extend(component_edges(graph, members));
+                }
+                *result = edges.into_iter().map(|idx| (idx, local_out[idx])).collect();
+            });
+        }
+    });
+    for (idx, p) in results.into_iter().flatten() {
+        out[idx] = p;
+    }
+}
+
+/// Position of the record-graph edge `(a, b)` in [`RecordGraph::pairs`].
+pub(crate) fn pair_index(graph: &RecordGraph, a: u32, b: u32) -> usize {
+    graph
+        .pairs()
+        .binary_search(&PairNode::new(a, b))
+        .expect("edge must correspond to a retained pair") // er-lint: allow(panic) -- every graph edge comes from the retained pair universe
+}
+
+/// Positions in [`RecordGraph::pairs`] of one component's edges, in
+/// ascending order.
+fn component_edges(graph: &RecordGraph, members: &[u32]) -> Vec<usize> {
+    let mut edges = Vec::new();
+    for &g in members {
+        for &nb in graph.neighbors(g).0 {
+            if nb > g {
+                edges.push(pair_index(graph, g, nb));
+            }
+        }
+    }
+    edges
+}
+
+/// [`solve_component`] with `members` mapped to their local ids in
+/// `local_of` (all `u32::MAX` before and after) for the solve.
+#[allow(clippy::too_many_arguments)]
+fn solve_mapped(
+    graph: &RecordGraph,
+    members: &[u32],
+    cost: ComponentCost,
+    local_of: &mut [u32],
     config: &CliqueRankConfig,
     pool: Option<&WorkerPool>,
     out: &mut [f64],
     scratch: &mut CliqueScratch,
 ) {
-    solve_component(graph, members, local_of, config, pool, out, scratch);
+    for (li, &g) in members.iter().enumerate() {
+        local_of[g as usize] = li as u32;
+    }
+    solve_component(graph, members, local_of, cost, config, pool, out, scratch);
+    for &g in members {
+        local_of[g as usize] = u32::MAX;
+    }
 }
 
 /// Solves one connected component serially on caller-owned scratch,
@@ -316,40 +354,20 @@ pub fn solve_component_into(
     out: &mut [f64],
     scratch: &mut CliqueScratch,
 ) {
-    solve_component(graph, members, local_of, config, None, out, scratch);
+    let cost = component_cost(graph, members, config);
+    solve_component(graph, members, local_of, cost, config, None, out, scratch);
 }
 
-/// Serial [`run_cliquerank`] variant on caller-owned scratch: `out` is
-/// reshaped to one probability per retained pair. Component discovery
-/// still allocates; the per-component recurrences do not.
-pub fn run_cliquerank_into(
-    graph: &RecordGraph,
-    config: &CliqueRankConfig,
-    scratch: &mut CliqueScratch,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.resize(graph.pairs().len(), 0.0);
-    let comps = graph.components();
-    let mut local_of = vec![u32::MAX; graph.node_count()];
-    for members in comps.members.iter().filter(|m| m.len() >= 2) {
-        for (li, &g) in members.iter().enumerate() {
-            local_of[g as usize] = li as u32;
-        }
-        solve_component(graph, members, &local_of, config, None, out, scratch);
-        for &g in members {
-            local_of[g as usize] = u32::MAX;
-        }
-    }
-}
-
-/// Dense solve of one connected component, writing edge probabilities
-/// into `out`.
+/// Solves one connected component with the kernel `cost` picked,
+/// writing edge probabilities into `out`. `pool`, when given, runs the
+/// recurrence's steps in parallel past its dispatch cutover.
+#[allow(clippy::too_many_arguments)]
 #[allow(clippy::needless_range_loop)]
 fn solve_component(
     graph: &RecordGraph,
     members: &[u32],
     local_of: &[u32],
+    cost: ComponentCost,
     config: &CliqueRankConfig,
     pool: Option<&WorkerPool>,
     out: &mut [f64],
@@ -364,24 +382,12 @@ fn solve_component(
         sparse,
     } = scratch;
     bonus_samples_into(config, bonus);
-    // Kernel selection: the edgewise sparse recursion is exact whenever
-    // the neighbor mask is on; pick it when its estimated per-step cost
-    // beats the dense product (dense gets an 8x constant-factor credit
-    // for its vectorized inner loop).
-    let use_sparse = config.neighbor_mask
-        && match config.kernel {
-            Kernel::Dense => false,
-            Kernel::Sparse => true,
-            Kernel::Auto => {
-                let sparse_cost = crate::sparse_kernel::sparse_step_cost(graph, members);
-                sparse_cost.saturating_mul(8) < nc * nc * nc
-            }
-        };
-    if use_sparse {
+    if cost.sparse {
         er_obs::counter_add("cliquerank_sparse_solves_total", 1);
-        crate::sparse_kernel::solve_component_sparse(
-            graph, members, local_of, config, bonus, pool, out, sparse,
-        );
+        // The sparse steps fan out only when the whole recurrence is
+        // worth the coordination.
+        let pool = pool.filter(|p| p.dispatch(cost.work).is_parallel());
+        solve_component_sparse(graph, members, local_of, config, bonus, pool, out, sparse);
         return;
     }
     er_obs::counter_add("cliquerank_dense_solves_total", 1);
@@ -451,13 +457,7 @@ fn solve_component(
                 fwd = fwd.clamp(0.0, 1.0);
                 bwd = bwd.clamp(0.0, 1.0);
             }
-            let p = 0.5 * (fwd + bwd);
-            let pair = PairNode::new(g, nb);
-            let idx = graph
-                .pairs()
-                .binary_search(&pair)
-                .expect("edge must correspond to a retained pair"); // er-lint: allow(panic) -- every graph edge comes from the retained pair universe
-            out[idx] = p;
+            out[pair_index(graph, g, nb)] = 0.5 * (fwd + bwd);
         }
     }
     arena.recycle(a);
@@ -467,7 +467,7 @@ fn solve_component(
 
 /// The `(1 + b)^α` bonus factors the boosted matrices average over,
 /// written into a reusable buffer.
-pub(crate) fn bonus_samples_into(config: &CliqueRankConfig, out: &mut Vec<f64>) {
+fn bonus_samples_into(config: &CliqueRankConfig, out: &mut Vec<f64>) {
     out.clear();
     match config.boost {
         BoostMode::Off => out.push(1.0),
@@ -542,7 +542,7 @@ fn first_passage(
     let mut cont = arena.take(nc, nc);
     for _ in 2..=config.steps {
         apply_neighbor_mask(graph, members, local_of, &g_mat, &mut masked, config);
-        step_product_into(mt, &masked, &mut cont, pool, pack);
+        matmul_into(mt, &masked, &mut cont, pool, pack);
         cont.hadamard_assign(&c);
         cont.add_assign(&h);
         std::mem::swap(&mut g_mat, &mut cont);
@@ -552,23 +552,6 @@ fn first_passage(
     arena.recycle(masked);
     arena.recycle(cont);
     g_mat
-}
-
-/// One `Mt × masked` step into `out`: on the shared pool when the
-/// caller's dispatch decision handed one down, otherwise the serial
-/// packed kernel. Both are bit-identical, so the choice only affects
-/// speed.
-fn step_product_into(
-    mt: &Matrix,
-    masked: &Matrix,
-    out: &mut Matrix,
-    pool: Option<&WorkerPool>,
-    pack: &mut PackScratch,
-) {
-    match pool {
-        Some(pool) => matmul_pooled_into(mt, masked, out, pool, pack),
-        None => matmul_packed_into(mt, masked, out, pack),
-    }
 }
 
 /// The paper's literal Eq. 15 accumulation: returns `Σ_k M^k` (an arena
@@ -613,7 +596,7 @@ fn paper_eq15(
     let mut next = arena.take(nc, nc);
     for _ in 2..=config.steps {
         apply_neighbor_mask(graph, members, local_of, &m, &mut masked, config);
-        step_product_into(mt, &masked, &mut next, pool, pack);
+        matmul_into(mt, &masked, &mut next, pool, pack);
         std::mem::swap(&mut m, &mut next);
         acc.add_assign(&m);
     }
@@ -674,10 +657,12 @@ mod tests {
     }
 
     fn cfg() -> CliqueRankConfig {
-        CliqueRankConfig {
-            threads: 1,
-            ..Default::default()
-        }
+        CliqueRankConfig::default()
+    }
+
+    /// CliqueRank on a 1-thread pool, without a cache.
+    fn run(g: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
+        run_cliquerank(g, config, &WorkerPool::new(1), None)
     }
 
     fn fp_cfg() -> CliqueRankConfig {
@@ -690,7 +675,7 @@ mod tests {
     #[test]
     fn clique_edges_near_one_bridge_near_zero() {
         let g = two_cliques();
-        let p = run_cliquerank(&g, &cfg());
+        let p = run(&g, &cfg());
         assert!(edge_prob(&g, &p, 0, 1) > 0.9, "{p:?}");
         assert!(edge_prob(&g, &p, 3, 4) > 0.9, "{p:?}");
         assert!(edge_prob(&g, &p, 2, 3) < 0.2, "{p:?}");
@@ -699,7 +684,7 @@ mod tests {
     #[test]
     fn first_passage_within_unit_interval_without_clamping() {
         let g = two_cliques();
-        let p = run_cliquerank(
+        let p = run(
             &g,
             &CliqueRankConfig {
                 clamp: false,
@@ -716,13 +701,14 @@ mod tests {
         // First-passage CliqueRank is the exact expectation of RSS — on a
         // small graph with many walks the two must agree within noise.
         let g = two_cliques();
-        let cr = run_cliquerank(&g, &fp_cfg());
+        let cr = run(&g, &fp_cfg());
         let rss = crate::rss::run_rss(
             &g,
             &crate::config::RssConfig {
                 walks_per_edge: 4000,
                 ..Default::default()
             },
+            &WorkerPool::new(1),
         );
         for (i, pair) in g.pairs().iter().enumerate() {
             assert!(
@@ -745,7 +731,7 @@ mod tests {
         let p = pairs(&[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]);
         let s = [1.0, 1.0, 1.0, 0.1, 0.1, 0.1];
         let g = RecordGraph::from_pair_scores(4, &p, &s);
-        let probs = run_cliquerank(&g, &fp_cfg());
+        let probs = run(&g, &fp_cfg());
         for &(a, b) in &[(0u32, 3u32), (1, 3), (2, 3)] {
             let v = edge_prob(&g, &probs, a, b);
             assert!(
@@ -754,7 +740,7 @@ mod tests {
             );
         }
         // While the paper's literal recurrence, clamped, saturates them.
-        let paper = run_cliquerank(
+        let paper = run(
             &g,
             &CliqueRankConfig {
                 recurrence: Recurrence::PaperEq15,
@@ -780,8 +766,8 @@ mod tests {
         let pr = pairs(&ps);
         let g = RecordGraph::from_pair_scores(n as usize, &pr, &vec![1.0; pr.len()]);
         let short = CliqueRankConfig { steps: 8, ..cfg() };
-        let with = run_cliquerank(&g, &short);
-        let without = run_cliquerank(
+        let with = run(&g, &short);
+        let without = run(
             &g,
             &CliqueRankConfig {
                 boost: BoostMode::Off,
@@ -803,11 +789,11 @@ mod tests {
         let p_all = pairs(&[(0, 1), (0, 2), (1, 2), (3, 4)]);
         let s_all = [0.9, 0.8, 0.7, 0.6];
         let g_all = RecordGraph::from_pair_scores(5, &p_all, &s_all);
-        let got_all = run_cliquerank(&g_all, &cfg());
+        let got_all = run(&g_all, &cfg());
 
         let p_a = pairs(&[(0, 1), (0, 2), (1, 2)]);
         let g_a = RecordGraph::from_pair_scores(3, &p_a, &[0.9, 0.8, 0.7]);
-        let got_a = run_cliquerank(&g_a, &cfg());
+        let got_a = run(&g_a, &cfg());
         for (i, pair) in g_a.pairs().iter().enumerate() {
             let full = edge_prob(&g_all, &got_all, pair.a, pair.b);
             assert!((full - got_a[i]).abs() < 1e-12);
@@ -815,7 +801,7 @@ mod tests {
 
         let p_b = pairs(&[(0, 1)]);
         let g_b = RecordGraph::from_pair_scores(2, &p_b, &[0.6]);
-        let got_b = run_cliquerank(&g_b, &cfg());
+        let got_b = run(&g_b, &cfg());
         let full = edge_prob(&g_all, &got_all, 3, 4);
         assert!((full - got_b[0]).abs() < 1e-12);
     }
@@ -825,7 +811,7 @@ mod tests {
         let p = pairs(&[(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]);
         let s = [1.0, 1.0, 1.0, 0.1, 0.1, 0.1];
         let g = RecordGraph::from_pair_scores(4, &p, &s);
-        let probs = run_cliquerank(
+        let probs = run(
             &g,
             &CliqueRankConfig {
                 recurrence: Recurrence::PaperEq15,
@@ -843,34 +829,27 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = two_cliques();
-        assert_eq!(run_cliquerank(&g, &cfg()), run_cliquerank(&g, &cfg()));
+        assert_eq!(run(&g, &cfg()), run(&g, &cfg()));
     }
 
     #[test]
     fn isolated_nodes_and_empty_graph() {
         let g = RecordGraph::from_pair_scores(3, &[], &[]);
-        assert!(run_cliquerank(&g, &cfg()).is_empty());
+        assert!(run(&g, &cfg()).is_empty());
     }
 
     #[test]
     fn threaded_matches_single_threaded() {
         let g = two_cliques();
-        let single = run_cliquerank(&g, &cfg());
-        let multi = run_cliquerank(
-            &g,
-            &CliqueRankConfig {
-                threads: 4,
-                ..cfg()
-            },
-        );
+        let single = run(&g, &cfg());
+        let multi = run_cliquerank(&g, &cfg(), &WorkerPool::new(4), None);
         for (a, b) in single.iter().zip(&multi) {
             assert!((a - b).abs() < 1e-12);
         }
     }
 
-    #[test]
-    fn parallel_components_match_serial_on_large_graphs() {
-        // 60 cliques of 12 = 720 members: crosses the parallel threshold.
+    /// 60 cliques of 12 = 720 members: crosses the parallel threshold.
+    fn many_cliques() -> RecordGraph {
         let mut ps = Vec::new();
         let mut scores = Vec::new();
         for c in 0..60u32 {
@@ -882,15 +861,14 @@ mod tests {
                 }
             }
         }
-        let g = RecordGraph::from_pair_scores(720, &ps, &scores);
-        let serial = run_cliquerank(&g, &cfg());
-        let parallel = run_cliquerank(
-            &g,
-            &CliqueRankConfig {
-                threads: 3,
-                ..cfg()
-            },
-        );
+        RecordGraph::from_pair_scores(720, &ps, &scores)
+    }
+
+    #[test]
+    fn parallel_components_match_serial_on_large_graphs() {
+        let g = many_cliques();
+        let serial = run(&g, &cfg());
+        let parallel = run_cliquerank(&g, &cfg(), &WorkerPool::new(3), None);
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert!((a - b).abs() < 1e-12);
@@ -901,18 +879,6 @@ mod tests {
     fn pooled_matches_serial_exactly() {
         // Components path (many small cliques) and matmul path (one big
         // component) must both be bit-identical to the serial solve.
-        let mut ps = Vec::new();
-        let mut scores = Vec::new();
-        for c in 0..60u32 {
-            let base = c * 12;
-            for i in 0..12u32 {
-                for j in i + 1..12u32 {
-                    ps.push(PairNode::new(base + i, base + j));
-                    scores.push(1.0 + (i + j) as f64 * 0.01);
-                }
-            }
-        }
-        let many = RecordGraph::from_pair_scores(720, &ps, &scores);
         let mut big_ps = Vec::new();
         for i in 0..80u32 {
             for j in i + 1..80u32 {
@@ -923,10 +889,10 @@ mod tests {
             .map(|i| 1.0 + (i % 7) as f64 * 0.02)
             .collect();
         let big = RecordGraph::from_pair_scores(80, &big_ps, &big_scores);
-        let pool = er_pool::WorkerPool::new(3);
-        for g in [&many, &big] {
-            let serial = run_cliquerank(g, &cfg());
-            let pooled = run_cliquerank_pooled(g, &cfg(), &pool);
+        let pool = WorkerPool::new(3);
+        for g in [&many_cliques(), &big] {
+            let serial = run(g, &cfg());
+            let pooled = run_cliquerank(g, &cfg(), &pool, None);
             assert_eq!(serial, pooled);
         }
     }
@@ -935,7 +901,7 @@ mod tests {
     fn fixed_boost_modes_work() {
         let g = two_cliques();
         for boost in [BoostMode::Fixed(0.0), BoostMode::Fixed(0.5), BoostMode::Off] {
-            let p = run_cliquerank(&g, &CliqueRankConfig { boost, ..cfg() });
+            let p = run(&g, &CliqueRankConfig { boost, ..cfg() });
             assert!(
                 p.iter().all(|v| (0.0..=1.0).contains(v)),
                 "{boost:?}: {p:?}"
@@ -951,7 +917,7 @@ mod tests {
             clamp: false,
             ..cfg()
         };
-        let p = run_cliquerank(&g, &one);
+        let p = run(&g, &one);
         for &v in &p {
             assert!(v > 0.0 && v <= 1.0);
         }

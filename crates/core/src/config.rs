@@ -37,11 +37,6 @@ pub struct IterConfig {
     pub normalization: Normalization,
     /// Seed for the random initialization of `x_t` (Algorithm 1, line 1).
     pub seed: u64,
-    /// Worker threads for the pair-similarity and term-update loops.
-    /// Both parallelize elementwise over disjoint output ranges, so every
-    /// thread count produces bit-identical weights. Defaults to the
-    /// machine's available parallelism.
-    pub threads: usize,
 }
 
 impl Default for IterConfig {
@@ -51,7 +46,6 @@ impl Default for IterConfig {
             max_iterations: 100,
             normalization: Normalization::Reciprocal,
             seed: 0x1753,
-            threads: default_threads(),
         }
     }
 }
@@ -96,10 +90,6 @@ pub struct RssConfig {
     pub boost: bool,
     /// Apply the early-stop rule (Algorithm 3 lines 8–9).
     pub early_stop: bool,
-    /// Worker threads for the per-edge walk loop. Walks are seeded per
-    /// edge, so every thread count (including 1) produces bit-identical
-    /// probabilities. Defaults to the machine's available parallelism.
-    pub threads: usize,
 }
 
 impl Default for RssConfig {
@@ -111,7 +101,6 @@ impl Default for RssConfig {
             seed: 0x2087,
             boost: true,
             early_stop: true,
-            threads: default_threads(),
         }
     }
 }
@@ -164,8 +153,6 @@ pub struct CliqueRankConfig {
     pub recurrence: Recurrence,
     /// Compute kernel per connected component (see [`Kernel`]).
     pub kernel: Kernel,
-    /// Worker threads for the dense products (1 = single-threaded).
-    pub threads: usize,
 }
 
 /// How a component's recurrence is materialized.
@@ -200,7 +187,6 @@ impl Default for CliqueRankConfig {
             clamp: true,
             recurrence: Recurrence::default(),
             kernel: Kernel::default(),
-            threads: default_threads(),
         }
     }
 }
@@ -242,11 +228,9 @@ pub struct FusionConfig {
     pub record_round_probabilities: bool,
     /// Worker threads for the shared pipeline pool. [`crate::Resolver`]
     /// creates one pool of this size per `resolve` call and threads it
-    /// through every phase (ITER, CliqueRank, graph construction),
-    /// overriding the per-phase `threads` fields, which only govern
-    /// standalone phase calls. All phases are deterministic, so this
-    /// knob affects speed only. Defaults to the machine's available
-    /// parallelism.
+    /// through every phase (ITER, CliqueRank, graph construction). All
+    /// phases are deterministic, so this knob affects speed only.
+    /// Defaults to the machine's available parallelism.
     pub threads: usize,
     /// Serial/parallel cutover for the shared pool: regions whose
     /// estimated work falls below `dispatch.serial_below` elementary

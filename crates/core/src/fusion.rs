@@ -18,10 +18,10 @@ use std::time::{Duration, Instant};
 use er_graph::{BipartiteGraph, RecordGraph, UnionFind};
 use er_pool::WorkerPool;
 
-use crate::cache::{run_cliquerank_cached_pooled, CliqueRankCache};
-use crate::cliquerank::run_cliquerank_pooled;
+use crate::cache::CliqueRankCache;
+use crate::cliquerank::run_cliquerank;
 use crate::config::FusionConfig;
-use crate::iter::{run_iter_pooled_scratch, IterScratch};
+use crate::iter::{run_iter_into, IterScratch};
 
 /// Per-round diagnostics.
 #[derive(Debug, Clone)]
@@ -207,37 +207,36 @@ impl Resolver {
             let t0 = Instant::now();
             let iter_out = {
                 let _span = er_obs::span("iter");
-                run_iter_pooled_scratch(graph, &prob, &cfg.iter, &pool, &mut iter_scratch)
+                run_iter_into(graph, &prob, &cfg.iter, &pool, &mut iter_scratch)
             };
             let iter_time = t0.elapsed();
             er_obs::counter_add("iter_iterations_total", iter_out.iterations as u64);
 
             let t1 = Instant::now();
-            let cliquerank_span = er_obs::span("cliquerank");
-            // Admission rules: structural shared-term minimum plus the
-            // optional absolute similarity floor (ablation only).
-            for ((slot, &s), &ok) in floored
-                .iter_mut()
-                .zip(&iter_out.pair_similarities)
-                .zip(&admitted)
-            {
-                *slot = if ok && s + 1e-9 >= cfg.min_similarity {
-                    s
-                } else {
-                    0.0
-                };
-            }
-            let gr = RecordGraph::from_pair_scores_pooled(
-                graph.record_count(),
-                graph.pairs(),
-                &floored,
-                &pool,
-            );
-            let edge_probs = match cache.as_deref_mut() {
-                None => run_cliquerank_pooled(&gr, &cfg.cliquerank, &pool),
-                Some(c) => run_cliquerank_cached_pooled(&gr, &cfg.cliquerank, c, &pool),
+            let (gr, edge_probs) = {
+                let _span = er_obs::span("cliquerank");
+                // Admission rules: structural shared-term minimum plus the
+                // optional absolute similarity floor (ablation only).
+                for ((slot, &s), &ok) in floored
+                    .iter_mut()
+                    .zip(&iter_out.pair_similarities)
+                    .zip(&admitted)
+                {
+                    *slot = if ok && s + 1e-9 >= cfg.min_similarity {
+                        s
+                    } else {
+                        0.0
+                    };
+                }
+                let gr = RecordGraph::from_pair_scores_pooled(
+                    graph.record_count(),
+                    graph.pairs(),
+                    &floored,
+                    &pool,
+                );
+                let edge_probs = run_cliquerank(&gr, &cfg.cliquerank, &pool, cache.as_deref_mut());
+                (gr, edge_probs)
             };
-            drop(cliquerank_span);
             let cliquerank_time = t1.elapsed();
             er_obs::counter_add("fusion_rounds_total", 1);
             er_obs::gauge_set("record_graph_edges", gr.edge_count() as f64);
@@ -320,9 +319,10 @@ mod tests {
     }
 
     fn quick_config() -> FusionConfig {
-        let mut cfg = FusionConfig::default();
-        cfg.cliquerank.threads = 1;
-        cfg
+        FusionConfig {
+            threads: 1,
+            ..FusionConfig::default()
+        }
     }
 
     #[test]

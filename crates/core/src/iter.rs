@@ -40,7 +40,7 @@ use crate::config::{IterConfig, Normalization};
 /// exceeds the loop body.
 const MIN_CHUNK: usize = 512;
 
-/// Reusable buffers for [`run_iter_pooled_scratch`].
+/// Reusable buffers for [`run_iter_into`].
 ///
 /// An ITER run needs four working vectors (`x`, `new_x`, `s`, `deltas`).
 /// Three of them leave the run inside the [`IterOutcome`]; the scratch
@@ -89,54 +89,35 @@ pub struct IterOutcome {
     pub converged: bool,
 }
 
-/// Runs ITER.
+/// Runs ITER on the caller's worker pool.
 ///
 /// * `graph` — the term ↔ pair bipartite graph.
 /// * `edge_prob` — `p(ri, rj)` per pair node (the edge weight shared by
 ///   all edges incident to that pair node), aligned with
 ///   [`BipartiteGraph::pairs`]. Pass all-ones for the first fusion round.
 ///
+/// A 1-thread pool runs every sweep inline; any other pool produces
+/// bit-identical weights.
+///
 /// # Panics
 /// If `edge_prob` is not aligned with the graph's pair nodes, or contains
 /// values outside `[0, 1]`.
-pub fn run_iter(graph: &BipartiteGraph, edge_prob: &[f64], config: &IterConfig) -> IterOutcome {
-    let mut scratch = IterScratch::default();
-    if config.threads <= 1 {
-        iter_impl(graph, edge_prob, config, None, &mut scratch)
-    } else {
-        let pool = WorkerPool::new(config.threads);
-        iter_impl(graph, edge_prob, config, Some(&pool), &mut scratch)
-    }
-}
-
-/// [`run_iter`] on an existing worker pool (pipeline callers share one
-/// pool across all phases instead of spinning one up per round).
-pub fn run_iter_pooled(
+pub fn run_iter(
     graph: &BipartiteGraph,
     edge_prob: &[f64],
     config: &IterConfig,
     pool: &WorkerPool,
 ) -> IterOutcome {
-    run_iter_pooled_scratch(graph, edge_prob, config, pool, &mut IterScratch::default())
+    run_iter_into(graph, edge_prob, config, pool, &mut IterScratch::default())
 }
 
-/// [`run_iter_pooled`] on caller-owned scratch buffers — the
-/// zero-allocation entry point for repeated runs.
-pub fn run_iter_pooled_scratch(
+/// [`run_iter`] on caller-owned scratch buffers — the zero-allocation
+/// entry point for repeated runs.
+pub fn run_iter_into(
     graph: &BipartiteGraph,
     edge_prob: &[f64],
     config: &IterConfig,
     pool: &WorkerPool,
-    scratch: &mut IterScratch,
-) -> IterOutcome {
-    iter_impl(graph, edge_prob, config, Some(pool), scratch)
-}
-
-fn iter_impl(
-    graph: &BipartiteGraph,
-    edge_prob: &[f64],
-    config: &IterConfig,
-    pool: Option<&WorkerPool>,
     scratch: &mut IterScratch,
 ) -> IterOutcome {
     assert_eq!(
@@ -156,7 +137,7 @@ fn iter_impl(
     // loop — sweeps and double-buffer swaps — runs inline with zero
     // coordination (restaurant/cora-sized graphs lost more to scope
     // bookkeeping per iteration than the chunks earned back).
-    let pool = pool.filter(|p| p.dispatch(graph.edge_count()).is_parallel());
+    let pool = Some(pool).filter(|p| p.dispatch(graph.edge_count()).is_parallel());
 
     // Line 1: random initialization of x_t in (0, 1). Terms with P_t = 0
     // never receive mass and stay 0. The working vectors come from the
@@ -247,9 +228,9 @@ fn update_similarities(
     pool: Option<&WorkerPool>,
 ) {
     match pool {
-        Some(pool) if !pool.is_serial() && s.len() >= 2 * MIN_CHUNK => {
+        Some(pool) if s.len() >= 2 * MIN_CHUNK => {
             let ranges = er_pool::chunk_ranges(s.len(), pool.threads() * 4, MIN_CHUNK);
-            // er-lint: allow(dispatch) -- pool param is pre-gated by the per-run dispatch decision in `iter_impl`
+            // er-lint: allow(dispatch) -- pool param is pre-gated by the per-run dispatch decision in `run_iter_into`
             pool.scope(|scope| {
                 let mut rest: &mut [f64] = s;
                 for range in ranges {
@@ -303,9 +284,9 @@ fn update_terms(
     pool: Option<&WorkerPool>,
 ) {
     match pool {
-        Some(pool) if !pool.is_serial() && new_x.len() >= 2 * MIN_CHUNK => {
+        Some(pool) if new_x.len() >= 2 * MIN_CHUNK => {
             let ranges = er_pool::chunk_ranges(new_x.len(), pool.threads() * 4, MIN_CHUNK);
-            // er-lint: allow(dispatch) -- pool param is pre-gated by the per-run dispatch decision in `iter_impl`
+            // er-lint: allow(dispatch) -- pool param is pre-gated by the per-run dispatch decision in `run_iter_into`
             pool.scope(|scope| {
                 let mut rest: &mut [f64] = new_x;
                 for range in ranges {
@@ -347,10 +328,15 @@ mod tests {
         vec![1.0; graph.pair_count()]
     }
 
+    /// ITER on a 1-thread pool: every sweep runs inline.
+    fn run(graph: &BipartiteGraph, edge_prob: &[f64], config: &IterConfig) -> IterOutcome {
+        run_iter(graph, edge_prob, config, &WorkerPool::new(1))
+    }
+
     #[test]
     fn discriminative_term_outranks_common_term() {
         let g = discriminative_vs_common();
-        let out = run_iter(&g, &uniform_prob(&g), &IterConfig::default());
+        let out = run(&g, &uniform_prob(&g), &IterConfig::default());
         assert!(out.converged, "should converge: deltas {:?}", out.deltas);
         assert!(
             out.term_weights[0] > out.term_weights[1],
@@ -364,7 +350,7 @@ mod tests {
     fn pair_sharing_more_terms_scores_higher() {
         // Pair (0,1) shares both terms; (2,3) shares only the common term.
         let g = discriminative_vs_common();
-        let out = run_iter(&g, &uniform_prob(&g), &IterConfig::default());
+        let out = run(&g, &uniform_prob(&g), &IterConfig::default());
         let p01 = g.pair_id(0, 1).unwrap() as usize;
         let p23 = g.pair_id(2, 3).unwrap() as usize;
         assert!(out.pair_similarities[p01] > out.pair_similarities[p23]);
@@ -373,7 +359,7 @@ mod tests {
     #[test]
     fn weights_in_unit_interval() {
         let g = discriminative_vs_common();
-        let out = run_iter(&g, &uniform_prob(&g), &IterConfig::default());
+        let out = run(&g, &uniform_prob(&g), &IterConfig::default());
         for (t, &w) in out.term_weights.iter().enumerate() {
             assert!((0.0..1.0).contains(&w), "term {t}: {w}");
         }
@@ -388,7 +374,7 @@ mod tests {
                 seed,
                 ..Default::default()
             };
-            let out = run_iter(&g, &uniform_prob(&g), &cfg);
+            let out = run(&g, &uniform_prob(&g), &cfg);
             assert!(out.converged);
             results.push(out.term_weights);
         }
@@ -408,8 +394,8 @@ mod tests {
         // (p = 0), except the true pair (0, 1).
         let mut prob = vec![0.0; g.pair_count()];
         prob[g.pair_id(0, 1).unwrap() as usize] = 1.0;
-        let out = run_iter(&g, &prob, &IterConfig::default());
-        let uniform = run_iter(&g, &uniform_prob(&g), &IterConfig::default());
+        let out = run(&g, &prob, &IterConfig::default());
+        let uniform = run(&g, &uniform_prob(&g), &IterConfig::default());
         // Common term is further demoted relative to the discriminative one.
         let ratio_fed = out.term_weights[1] / out.term_weights[0];
         let ratio_uniform = uniform.term_weights[1] / uniform.term_weights[0];
@@ -422,7 +408,7 @@ mod tests {
     #[test]
     fn zero_probability_isolates_pairs() {
         let g = discriminative_vs_common();
-        let out = run_iter(&g, &vec![0.0; g.pair_count()], &IterConfig::default());
+        let out = run(&g, &vec![0.0; g.pair_count()], &IterConfig::default());
         // No mass ever flows back to terms: all weights collapse to 0.
         assert!(out.term_weights.iter().all(|&w| w == 0.0));
     }
@@ -430,7 +416,7 @@ mod tests {
     #[test]
     fn deltas_trace_matches_iterations() {
         let g = discriminative_vs_common();
-        let out = run_iter(&g, &uniform_prob(&g), &IterConfig::default());
+        let out = run(&g, &uniform_prob(&g), &IterConfig::default());
         assert_eq!(out.deltas.len(), out.iterations);
         // Monotone-ish decay: final delta below the first.
         assert!(out.deltas.last().unwrap() < out.deltas.first().unwrap());
@@ -443,7 +429,7 @@ mod tests {
             normalization: Normalization::L2,
             ..Default::default()
         };
-        let out = run_iter(&g, &uniform_prob(&g), &cfg);
+        let out = run(&g, &uniform_prob(&g), &cfg);
         assert!(out.converged);
         let norm: f64 = out.term_weights.iter().map(|v| v * v).sum::<f64>().sqrt();
         assert!((norm - 1.0).abs() < 1e-9);
@@ -453,7 +439,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = BipartiteGraphBuilder::new(0, 0).build();
-        let out = run_iter(&g, &[], &IterConfig::default());
+        let out = run(&g, &[], &IterConfig::default());
         assert!(out.term_weights.is_empty());
         assert!(out.pair_similarities.is_empty());
     }
@@ -481,23 +467,10 @@ mod tests {
         }
         let g = builder.build();
         let prob = uniform_prob(&g);
-        let serial = run_iter(
-            &g,
-            &prob,
-            &IterConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let serial = run(&g, &prob, &IterConfig::default());
         for threads in [2, 4] {
-            let parallel = run_iter(
-                &g,
-                &prob,
-                &IterConfig {
-                    threads,
-                    ..Default::default()
-                },
-            );
+            let pool = WorkerPool::with_policy(threads, er_pool::DispatchPolicy::always_parallel());
+            let parallel = run_iter(&g, &prob, &IterConfig::default(), &pool);
             assert_eq!(
                 serial.term_weights, parallel.term_weights,
                 "threads={threads}"
@@ -506,22 +479,19 @@ mod tests {
             assert_eq!(serial.iterations, parallel.iterations);
             assert_eq!(serial.deltas, parallel.deltas);
         }
-        let pool = er_pool::WorkerPool::new(3);
-        let pooled = run_iter_pooled(&g, &prob, &IterConfig::default(), &pool);
-        assert_eq!(serial.term_weights, pooled.term_weights);
     }
 
     #[test]
     #[should_panic(expected = "one probability per pair")]
     fn misaligned_probabilities_rejected() {
         let g = discriminative_vs_common();
-        run_iter(&g, &[1.0], &IterConfig::default());
+        run(&g, &[1.0], &IterConfig::default());
     }
 
     #[test]
     #[should_panic(expected = "out of [0,1]")]
     fn out_of_range_probability_rejected() {
         let g = discriminative_vs_common();
-        run_iter(&g, &vec![1.5; g.pair_count()], &IterConfig::default());
+        run(&g, &vec![1.5; g.pair_count()], &IterConfig::default());
     }
 }

@@ -46,14 +46,12 @@ pub mod iter;
 pub mod rss;
 pub mod sparse_kernel;
 
-pub use cache::{run_cliquerank_cached, run_cliquerank_cached_pooled, CliqueRankCache};
-pub use cliquerank::{
-    run_cliquerank, run_cliquerank_into, run_cliquerank_pooled, solve_component_into, CliqueScratch,
-};
+pub use cache::CliqueRankCache;
+pub use cliquerank::{run_cliquerank, solve_component_into, CliqueScratch};
 pub use config::{
     default_threads, BoostMode, CliqueRankConfig, FusionConfig, IterConfig, Kernel, Normalization,
     RssConfig,
 };
 pub use fusion::{FusionOutcome, Resolver, RoundStats};
-pub use iter::{run_iter, run_iter_pooled, run_iter_pooled_scratch, IterOutcome, IterScratch};
-pub use rss::{run_rss, run_rss_pooled, run_rss_subset, run_rss_subset_pooled, RssOutcome};
+pub use iter::{run_iter, run_iter_into, IterOutcome, IterScratch};
+pub use rss::{run_rss, run_rss_subset, RssOutcome};

@@ -50,17 +50,11 @@ pub struct RssOutcome {
     pub walks: usize,
 }
 
-/// Runs RSS over every edge of `graph` (Algorithm 2), dispatching on
-/// [`RssConfig::threads`].
-pub fn run_rss(graph: &RecordGraph, config: &RssConfig) -> RssOutcome {
+/// Runs RSS over every edge of `graph` (Algorithm 2) on the caller's
+/// worker pool.
+pub fn run_rss(graph: &RecordGraph, config: &RssConfig, pool: &WorkerPool) -> RssOutcome {
     let all: Vec<u32> = (0..graph.pairs().len() as u32).collect();
-    run_rss_subset(graph, config, &all)
-}
-
-/// Runs RSS over every edge using an existing worker pool.
-pub fn run_rss_pooled(graph: &RecordGraph, config: &RssConfig, pool: &WorkerPool) -> RssOutcome {
-    let all: Vec<u32> = (0..graph.pairs().len() as u32).collect();
-    run_rss_subset_pooled(graph, config, &all, pool)
+    run_rss_subset(graph, config, &all, pool)
 }
 
 /// Runs RSS for a subset of edges (by index into [`RecordGraph::pairs`]).
@@ -70,32 +64,10 @@ pub fn run_rss_pooled(graph: &RecordGraph, config: &RssConfig, pool: &WorkerPool
 /// time on dense graphs where the full `O(M · S · n³)` simulation is
 /// impractical — the very point the paper's speedup comparison makes.
 ///
-/// `config.threads > 1` spins up a transient pool; callers with a pool of
-/// their own should use [`run_rss_subset_pooled`] directly.
-pub fn run_rss_subset(graph: &RecordGraph, config: &RssConfig, edges: &[u32]) -> RssOutcome {
-    validate(config);
-    if config.threads <= 1 {
-        let _span = er_obs::span("rss");
-        let powers = EdgePowers::build(graph, config.alpha);
-        let mut probabilities = vec![0.0f64; edges.len()];
-        estimate_edges(graph, config, &powers, edges, &mut probabilities);
-        let half = config.walks_per_edge / 2;
-        er_obs::counter_add("rss_edges_total", edges.len() as u64);
-        er_obs::counter_add("rss_walks_total", (edges.len() * 2 * half) as u64);
-        RssOutcome {
-            probabilities,
-            walks: edges.len() * 2 * half,
-        }
-    } else {
-        let pool = WorkerPool::new(config.threads);
-        run_rss_subset_pooled(graph, config, edges, &pool)
-    }
-}
-
-/// Pool-backed [`run_rss_subset`]: edge chunks become pool jobs, each
-/// writing its own disjoint slice of the probability vector. Per-edge
-/// seeding makes the result bit-identical to the serial path.
-pub fn run_rss_subset_pooled(
+/// Edge chunks become pool jobs, each writing its own disjoint slice of
+/// the probability vector; a 1-thread pool runs them inline. Per-edge
+/// seeding makes the result bit-identical at any thread count.
+pub fn run_rss_subset(
     graph: &RecordGraph,
     config: &RssConfig,
     edges: &[u32],
@@ -309,6 +281,11 @@ mod tests {
         RecordGraph::from_pair_scores(5, &p, &s)
     }
 
+    /// RSS on a 1-thread pool: every edge runs inline.
+    fn rss(g: &RecordGraph, config: &RssConfig) -> RssOutcome {
+        run_rss(g, config, &WorkerPool::new(1))
+    }
+
     fn edge_prob(g: &RecordGraph, out: &RssOutcome, a: u32, b: u32) -> f64 {
         let idx = g
             .pairs()
@@ -321,7 +298,7 @@ mod tests {
     #[test]
     fn clique_members_reach_each_other() {
         let g = two_cliques();
-        let out = run_rss(&g, &RssConfig::default());
+        let out = rss(&g, &RssConfig::default());
         assert!(edge_prob(&g, &out, 0, 1) > 0.9, "{out:?}");
         assert!(edge_prob(&g, &out, 3, 4) > 0.9);
     }
@@ -329,7 +306,7 @@ mod tests {
     #[test]
     fn weak_bridge_scores_low() {
         let g = two_cliques();
-        let out = run_rss(&g, &RssConfig::default());
+        let out = rss(&g, &RssConfig::default());
         let bridge = edge_prob(&g, &out, 2, 3);
         let clique = edge_prob(&g, &out, 0, 1);
         assert!(
@@ -341,7 +318,7 @@ mod tests {
     #[test]
     fn probabilities_in_unit_interval() {
         let g = two_cliques();
-        let out = run_rss(&g, &RssConfig::default());
+        let out = rss(&g, &RssConfig::default());
         for &p in &out.probabilities {
             assert!((0.0..=1.0).contains(&p));
         }
@@ -351,8 +328,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let g = two_cliques();
-        let a = run_rss(&g, &RssConfig::default());
-        let b = run_rss(&g, &RssConfig::default());
+        let a = rss(&g, &RssConfig::default());
+        let b = rss(&g, &RssConfig::default());
         assert_eq!(a.probabilities, b.probabilities);
     }
 
@@ -375,8 +352,8 @@ mod tests {
             walks_per_edge: 50,
             ..Default::default()
         };
-        let with = run_rss(&g, &base);
-        let without = run_rss(
+        let with = rss(&g, &base);
+        let without = rss(
             &g,
             &RssConfig {
                 boost: false,
@@ -399,7 +376,7 @@ mod tests {
         // A node with exactly one neighbor always walks to it — the paper's
         // corner case motivating bi-directional walks. Probability 1.
         let g = RecordGraph::from_pair_scores(2, &pairs(&[(0, 1)]), &[0.3]);
-        let out = run_rss(&g, &RssConfig::default());
+        let out = rss(&g, &RssConfig::default());
         assert_eq!(out.probabilities, vec![1.0]);
     }
 
@@ -407,8 +384,8 @@ mod tests {
     fn early_stop_reduces_cross_clique_probability() {
         let g = two_cliques();
         let base = RssConfig::default();
-        let with = run_rss(&g, &base);
-        let without = run_rss(
+        let with = rss(&g, &base);
+        let without = rss(
             &g,
             &RssConfig {
                 early_stop: false,
@@ -423,21 +400,9 @@ mod tests {
     #[test]
     fn bit_identical_across_thread_counts() {
         let g = two_cliques();
-        let serial = run_rss(
-            &g,
-            &RssConfig {
-                threads: 1,
-                ..Default::default()
-            },
-        );
+        let serial = rss(&g, &RssConfig::default());
         for threads in [2, 3, 4] {
-            let parallel = run_rss(
-                &g,
-                &RssConfig {
-                    threads,
-                    ..Default::default()
-                },
-            );
+            let parallel = run_rss(&g, &RssConfig::default(), &WorkerPool::new(threads));
             assert_eq!(
                 serial.probabilities, parallel.probabilities,
                 "threads={threads}"
@@ -451,13 +416,10 @@ mod tests {
         // Per-edge seeding: estimating a subset must give exactly the
         // probabilities the full run assigns to those edges.
         let g = two_cliques();
-        let config = RssConfig {
-            threads: 1,
-            ..Default::default()
-        };
-        let full = run_rss(&g, &config);
+        let config = RssConfig::default();
+        let full = rss(&g, &config);
         let subset = [3u32, 0, 4];
-        let out = run_rss_subset(&g, &config, &subset);
+        let out = run_rss_subset(&g, &config, &subset, &WorkerPool::new(1));
         for (i, &e) in subset.iter().enumerate() {
             assert_eq!(out.probabilities[i], full.probabilities[e as usize]);
         }
@@ -465,19 +427,20 @@ mod tests {
 
     #[test]
     fn pooled_entry_point_matches_dispatch() {
+        // Forced-parallel dispatch fans edge chunks out as pool jobs; the
+        // result must equal the inline run bit for bit.
         let g = two_cliques();
         let config = RssConfig::default();
-        let pool = er_pool::WorkerPool::new(3);
-        let pooled = run_rss_pooled(&g, &config, &pool);
-        let dispatched = run_rss(&g, &config);
-        assert_eq!(pooled.probabilities, dispatched.probabilities);
+        let pool = WorkerPool::with_policy(3, er_pool::DispatchPolicy::always_parallel());
+        let pooled = run_rss(&g, &config, &pool);
+        assert_eq!(pooled.probabilities, rss(&g, &config).probabilities);
     }
 
     #[test]
     #[should_panic(expected = "alpha")]
     fn rejects_bad_alpha() {
         let g = two_cliques();
-        run_rss(
+        rss(
             &g,
             &RssConfig {
                 alpha: 0.0,

@@ -21,9 +21,10 @@
 //! capacity, so a stream of components solved through one scratch runs
 //! with zero steady-state allocations.
 
-use er_graph::{bipartite::PairNode, RecordGraph};
+use er_graph::RecordGraph;
 use er_pool::WorkerPool;
 
+use crate::cliquerank::pair_index;
 use crate::config::{CliqueRankConfig, Recurrence};
 
 /// Reusable buffers for the edgewise kernel: the local directed-edge CSR
@@ -191,7 +192,7 @@ fn step_rows_pooled(
     next: &mut [f64],
     f: &(dyn Fn(usize, usize) -> f64 + Sync),
 ) {
-    // er-lint: allow(dispatch) -- callers gate the pool on `dispatch(steps_cost)` before calling
+    // er-lint: allow(dispatch) -- `solve_component` gates the pool on `dispatch(cost.work)` before calling
     pool.scope(|s| {
         let mut rest = next;
         let mut consumed = 0;
@@ -216,9 +217,9 @@ fn step_rows_pooled(
 /// Solves one component with the edgewise recursion and writes the
 /// symmetrized probabilities into `out`. Requires the neighbor mask.
 /// `bonus` is the shared `(1 + b)^α` sample vector computed by the
-/// caller; all working memory comes from `scratch`. With a pool, each
-/// recurrence step fans CSR row ranges out as jobs when the component's
-/// estimated step cost clears the pool's dispatch cutover.
+/// caller; all working memory comes from `scratch`. With a pool (the
+/// caller has already made the dispatch decision), each recurrence step
+/// fans CSR row ranges out as jobs.
 #[allow(clippy::too_many_arguments)] // mirrors the dense solver's signature plus the pool
 pub(crate) fn solve_component_sparse(
     graph: &RecordGraph,
@@ -279,21 +280,13 @@ pub(crate) fn solve_component_sparse(
     );
     let (row_start, tgt, rev, mt, hit, cont): SharedCsr = (row_start, tgt, rev, mt, hit, cont);
 
-    // Intra-component parallelism: fan row ranges out per step when the
-    // whole recurrence is worth the coordination. The row split is fixed
-    // up front (it depends only on the CSR), so steps re-use it.
-    let steps_cost = (0..members.len())
-        .map(|i| {
-            let d = row_start[i + 1] - row_start[i];
-            2 * d * d
-        })
-        .sum::<usize>()
-        .saturating_mul(config.steps.max(1));
-    let par_pool = pool.filter(|p| p.dispatch(steps_cost).is_parallel());
-    let row_ranges = par_pool.map_or_else(Vec::new, |p| {
+    // Intra-component parallelism: fan row ranges out per step. The row
+    // split is fixed up front (it depends only on the CSR), so steps
+    // re-use it.
+    let row_ranges = pool.map_or_else(Vec::new, |p| {
         edge_balanced_row_ranges(row_start, p.threads() * 2)
     });
-    let par_pool = par_pool.filter(|_| row_ranges.len() > 1);
+    let par_pool = pool.filter(|_| row_ranges.len() > 1);
 
     // Recurrence over per-directed-edge vectors.
     let final_vals: &[f64] = match config.recurrence {
@@ -371,13 +364,7 @@ pub(crate) fn solve_component_sparse(
                 fwd = fwd.clamp(0.0, 1.0);
                 bwd = bwd.clamp(0.0, 1.0);
             }
-            let p = 0.5 * (fwd + bwd);
-            let pair = PairNode::new(g, gj);
-            let idx = graph
-                .pairs()
-                .binary_search(&pair)
-                .expect("edge must correspond to a retained pair"); // er-lint: allow(panic) -- every graph edge comes from the retained pair universe
-            out[idx] = p;
+            out[pair_index(graph, g, gj)] = 0.5 * (fwd + bwd);
         }
     }
 }
@@ -386,7 +373,12 @@ pub(crate) fn solve_component_sparse(
 mod tests {
     use super::*;
     use crate::config::Kernel;
-    use crate::run_cliquerank;
+    use er_graph::bipartite::PairNode;
+
+    /// CliqueRank on a 1-thread pool, without a cache.
+    fn run_cliquerank(g: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
+        crate::run_cliquerank(g, config, &WorkerPool::new(1), None)
+    }
 
     fn pairs(ps: &[(u32, u32)]) -> Vec<PairNode> {
         ps.iter().map(|&(a, b)| PairNode::new(a, b)).collect()
@@ -422,7 +414,6 @@ mod tests {
                 &g,
                 &CliqueRankConfig {
                     kernel: Kernel::Dense,
-                    threads: 1,
                     ..Default::default()
                 },
             );
@@ -430,7 +421,6 @@ mod tests {
                 &g,
                 &CliqueRankConfig {
                     kernel: Kernel::Sparse,
-                    threads: 1,
                     ..Default::default()
                 },
             );
@@ -445,7 +435,6 @@ mod tests {
         for g in sample_graphs() {
             let mk = |kernel| CliqueRankConfig {
                 kernel,
-                threads: 1,
                 recurrence: Recurrence::FirstPassage,
                 ..Default::default()
             };
@@ -464,7 +453,6 @@ mod tests {
                 &g,
                 &CliqueRankConfig {
                     kernel: Kernel::Auto,
-                    threads: 1,
                     ..Default::default()
                 },
             );
@@ -472,7 +460,6 @@ mod tests {
                 &g,
                 &CliqueRankConfig {
                     kernel: Kernel::Dense,
-                    threads: 1,
                     ..Default::default()
                 },
             );
@@ -488,7 +475,6 @@ mod tests {
         // give the same answers as a fresh scratch each time.
         let cfg = CliqueRankConfig {
             kernel: Kernel::Sparse,
-            threads: 1,
             ..Default::default()
         };
         let fresh: Vec<Vec<f64>> = sample_graphs()
@@ -497,8 +483,17 @@ mod tests {
             .collect();
         let mut scratch = crate::cliquerank::CliqueScratch::default();
         for (g, want) in sample_graphs().iter().zip(&fresh) {
-            let mut out = Vec::new();
-            crate::cliquerank::run_cliquerank_into(g, &cfg, &mut scratch, &mut out);
+            let mut out = vec![0.0; g.pairs().len()];
+            let mut local_of = vec![u32::MAX; g.node_count()];
+            for members in g.components().members.iter().filter(|m| m.len() >= 2) {
+                for (li, &r) in members.iter().enumerate() {
+                    local_of[r as usize] = li as u32;
+                }
+                crate::solve_component_into(g, members, &local_of, &cfg, &mut out, &mut scratch);
+                for &r in members {
+                    local_of[r as usize] = u32::MAX;
+                }
+            }
             assert_eq!(&out, want);
         }
     }

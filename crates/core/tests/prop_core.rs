@@ -2,10 +2,7 @@
 //! structures: bounds, determinism, convergence, and cross-checks
 //! between the stochastic and matrix formulations.
 
-use er_core::{
-    run_cliquerank, run_cliquerank_pooled, run_iter, run_iter_pooled, run_rss, run_rss_pooled,
-    CliqueRankConfig, IterConfig, RssConfig,
-};
+use er_core::{run_cliquerank, run_iter, run_rss, CliqueRankConfig, IterConfig, RssConfig};
 use er_graph::bipartite::PairNode;
 use er_graph::{BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
 use er_pool::WorkerPool;
@@ -43,6 +40,11 @@ fn record_graph() -> impl Strategy<Value = RecordGraph> {
     })
 }
 
+/// A 1-thread pool: every phase runs inline.
+fn one_thread() -> WorkerPool {
+    WorkerPool::new(1)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -50,8 +52,8 @@ proptest! {
     fn iter_weights_bounded_and_deterministic(graph in bipartite(), seed in 0u64..1000) {
         let prob = vec![1.0; graph.pair_count()];
         let cfg = IterConfig { seed, ..Default::default() };
-        let a = run_iter(&graph, &prob, &cfg);
-        let b = run_iter(&graph, &prob, &cfg);
+        let a = run_iter(&graph, &prob, &cfg, &one_thread());
+        let b = run_iter(&graph, &prob, &cfg, &one_thread());
         prop_assert_eq!(&a.term_weights, &b.term_weights);
         for (t, &w) in a.term_weights.iter().enumerate() {
             prop_assert!((0.0..1.0).contains(&w), "term {}: {}", t, w);
@@ -72,8 +74,8 @@ proptest! {
         // direction regardless of the random start.
         let prob = vec![1.0; graph.pair_count()];
         let tight = |seed| IterConfig { seed, tolerance: 1e-12, max_iterations: 500, ..Default::default() };
-        let a = run_iter(&graph, &prob, &tight(1));
-        let b = run_iter(&graph, &prob, &tight(987654));
+        let a = run_iter(&graph, &prob, &tight(1), &one_thread());
+        let b = run_iter(&graph, &prob, &tight(987654), &one_thread());
         if a.converged && b.converged {
             for (x, y) in a.term_weights.iter().zip(&b.term_weights) {
                 prop_assert!((x - y).abs() < 1e-4, "{} vs {}", x, y);
@@ -83,14 +85,14 @@ proptest! {
 
     #[test]
     fn cliquerank_outputs_probabilities(graph in record_graph(), steps in 1usize..12) {
-        let cfg = CliqueRankConfig { steps, threads: 1, ..Default::default() };
-        let p = run_cliquerank(&graph, &cfg);
+        let cfg = CliqueRankConfig { steps, ..Default::default() };
+        let p = run_cliquerank(&graph, &cfg, &one_thread(), None);
         prop_assert_eq!(p.len(), graph.pairs().len());
         for &v in &p {
             prop_assert!((0.0..=1.0).contains(&v), "{}", v);
         }
         // Determinism.
-        prop_assert_eq!(p, run_cliquerank(&graph, &cfg));
+        prop_assert_eq!(p, run_cliquerank(&graph, &cfg, &one_thread(), None));
     }
 
     #[test]
@@ -98,12 +100,11 @@ proptest! {
         // More steps can only increase a first-passage probability.
         let cfg = |steps| CliqueRankConfig {
             steps,
-            threads: 1,
             recurrence: er_core::config::Recurrence::FirstPassage,
             ..Default::default()
         };
-        let short = run_cliquerank(&graph, &cfg(3));
-        let long = run_cliquerank(&graph, &cfg(10));
+        let short = run_cliquerank(&graph, &cfg(3), &one_thread(), None);
+        let long = run_cliquerank(&graph, &cfg(10), &one_thread(), None);
         for (s, l) in short.iter().zip(&long) {
             prop_assert!(l + 1e-9 >= *s, "steps must not reduce reach probability: {} -> {}", s, l);
         }
@@ -112,9 +113,9 @@ proptest! {
     #[test]
     fn sparse_and_dense_kernels_agree(graph in record_graph(), steps in 1usize..10) {
         use er_core::Kernel;
-        let mk = |kernel| CliqueRankConfig { kernel, steps, threads: 1, ..Default::default() };
-        let dense = run_cliquerank(&graph, &mk(Kernel::Dense));
-        let sparse = run_cliquerank(&graph, &mk(Kernel::Sparse));
+        let mk = |kernel| CliqueRankConfig { kernel, steps, ..Default::default() };
+        let dense = run_cliquerank(&graph, &mk(Kernel::Dense), &one_thread(), None);
+        let sparse = run_cliquerank(&graph, &mk(Kernel::Sparse), &one_thread(), None);
         for (a, b) in dense.iter().zip(&sparse) {
             prop_assert!((a - b).abs() < 1e-9, "dense {} vs sparse {}", a, b);
         }
@@ -123,12 +124,12 @@ proptest! {
     #[test]
     fn rss_within_bounds_and_deterministic(graph in record_graph()) {
         let cfg = RssConfig { walks_per_edge: 20, ..Default::default() };
-        let a = run_rss(&graph, &cfg);
+        let a = run_rss(&graph, &cfg, &one_thread());
         prop_assert_eq!(a.probabilities.len(), graph.pairs().len());
         for &v in &a.probabilities {
             prop_assert!((0.0..=1.0).contains(&v));
         }
-        let b = run_rss(&graph, &cfg);
+        let b = run_rss(&graph, &cfg, &one_thread());
         prop_assert_eq!(a.probabilities, b.probabilities);
     }
 
@@ -138,11 +139,11 @@ proptest! {
         // wall clock: every float written in parallel lands in a
         // disjoint slot and reductions stay serial.
         let prob = vec![1.0; graph.pair_count()];
-        let cfg = IterConfig { seed, threads: 1, ..Default::default() };
-        let serial = run_iter(&graph, &prob, &cfg);
+        let cfg = IterConfig { seed, ..Default::default() };
+        let serial = run_iter(&graph, &prob, &cfg, &one_thread());
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);
-            let pooled = run_iter_pooled(&graph, &prob, &cfg, &pool);
+            let pooled = run_iter(&graph, &prob, &cfg, &pool);
             prop_assert_eq!(&serial.term_weights, &pooled.term_weights, "threads={}", threads);
             prop_assert_eq!(&serial.pair_similarities, &pooled.pair_similarities);
             prop_assert_eq!(serial.iterations, pooled.iterations);
@@ -153,11 +154,11 @@ proptest! {
     fn rss_pooled_bit_identical_across_threads(graph in record_graph(), seed in 0u64..1000) {
         // Each edge draws from its own (seed, edge_id)-derived RNG, so
         // the estimate is independent of how edges are sharded.
-        let cfg = RssConfig { walks_per_edge: 8, seed, threads: 1, ..Default::default() };
-        let serial = run_rss(&graph, &cfg);
+        let cfg = RssConfig { walks_per_edge: 8, seed, ..Default::default() };
+        let serial = run_rss(&graph, &cfg, &one_thread());
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);
-            let pooled = run_rss_pooled(&graph, &cfg, &pool);
+            let pooled = run_rss(&graph, &cfg, &pool);
             prop_assert_eq!(&serial.probabilities, &pooled.probabilities, "threads={}", threads);
         }
     }
@@ -166,11 +167,11 @@ proptest! {
     fn cliquerank_pooled_bit_identical_across_threads(graph in record_graph(), steps in 1usize..10) {
         // Components are solved independently, so their assignment to
         // workers cannot change any probability.
-        let cfg = CliqueRankConfig { steps, threads: 1, ..Default::default() };
-        let serial = run_cliquerank(&graph, &cfg);
+        let cfg = CliqueRankConfig { steps, ..Default::default() };
+        let serial = run_cliquerank(&graph, &cfg, &one_thread(), None);
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);
-            let pooled = run_cliquerank_pooled(&graph, &cfg, &pool);
+            let pooled = run_cliquerank(&graph, &cfg, &pool, None);
             prop_assert_eq!(&serial, &pooled, "threads={}", threads);
         }
     }
@@ -186,7 +187,7 @@ proptest! {
         ];
         let scores = vec![w1, w1, w1, w2, w2, w2];
         let graph = RecordGraph::from_pair_scores(6, &pairs, &scores);
-        let p = run_cliquerank(&graph, &CliqueRankConfig { threads: 1, ..Default::default() });
+        let p = run_cliquerank(&graph, &CliqueRankConfig::default(), &one_thread(), None);
         for &v in &p {
             prop_assert!(v > 0.95, "intra-clique edge below threshold: {}", v);
         }

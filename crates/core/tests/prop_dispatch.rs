@@ -7,12 +7,10 @@
 //! identical to the plain serial run at 1, 2, and 8 threads. The
 //! policies are constructed directly rather than read from the
 //! environment so the tests cover both sides of the cutover on every
-//! input, whatever `ER_DISPATCH` says.
+//! input, whatever `ER_DISPATCH` says. CliqueRank is also run through a
+//! component cache, cold and warm, at every thread count and policy.
 
-use er_core::{
-    run_cliquerank, run_cliquerank_pooled, run_iter, run_iter_pooled, CliqueRankConfig, IterConfig,
-    Kernel,
-};
+use er_core::{run_cliquerank, run_iter, CliqueRankCache, CliqueRankConfig, IterConfig, Kernel};
 use er_graph::bipartite::PairNode;
 use er_graph::{BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
@@ -65,6 +63,57 @@ fn straddling_policies(work: usize) -> Vec<DispatchPolicy> {
     ]
 }
 
+/// Pins CliqueRank's driver for one configuration: at every thread
+/// count and policy, an uncached run, a cold run through a fresh cache
+/// (its misses solved inline, on the caller with the pool inside, or
+/// fanned out across workers) and a warm rerun through the same cache
+/// all equal the serial uncached run bitwise, and the warm rerun
+/// replays every component without a miss.
+fn cliquerank_bit_identical(graph: &RecordGraph, cfg: &CliqueRankConfig) {
+    let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let serial = bits(run_cliquerank(graph, cfg, &WorkerPool::new(1), None));
+    for threads in THREADS {
+        // Component cost estimates are internal, so straddle with a
+        // spread of thresholds from forced-inline down to
+        // forced-parallel (1 puts every nonempty component above the
+        // bar, exercising the intra-parallel big-component path).
+        for policy in [
+            DispatchPolicy::always_serial(),
+            DispatchPolicy::new(64),
+            DispatchPolicy::new(1),
+            DispatchPolicy::always_parallel(),
+        ] {
+            let pool = WorkerPool::with_policy(threads, policy);
+            let pooled = bits(run_cliquerank(graph, cfg, &pool, None));
+            prop_assert_eq!(&serial, &pooled, "threads={} policy={:?}", threads, policy);
+            let mut cache = CliqueRankCache::new();
+            let cold = bits(run_cliquerank(graph, cfg, &pool, Some(&mut cache)));
+            prop_assert_eq!(
+                &serial,
+                &cold,
+                "cold cache threads={} policy={:?}",
+                threads,
+                policy
+            );
+            let misses = cache.misses();
+            let warm = bits(run_cliquerank(graph, cfg, &pool, Some(&mut cache)));
+            prop_assert_eq!(
+                &serial,
+                &warm,
+                "warm cache threads={} policy={:?}",
+                threads,
+                policy
+            );
+            prop_assert_eq!(cache.misses(), misses, "the warm rerun must not miss");
+            prop_assert_eq!(
+                cache.hits(),
+                misses,
+                "the warm rerun replays every component"
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -74,12 +123,12 @@ proptest! {
         // built from `edge_count()` land the run on either side of the
         // cutover deterministically.
         let prob = vec![1.0; graph.pair_count()];
-        let cfg = IterConfig { seed, threads: 1, ..Default::default() };
-        let serial = run_iter(&graph, &prob, &cfg);
+        let cfg = IterConfig { seed, ..Default::default() };
+        let serial = run_iter(&graph, &prob, &cfg, &WorkerPool::new(1));
         for threads in THREADS {
             for policy in straddling_policies(graph.edge_count()) {
                 let pool = WorkerPool::with_policy(threads, policy);
-                let pooled = run_iter_pooled(&graph, &prob, &cfg, &pool);
+                let pooled = run_iter(&graph, &prob, &cfg, &pool);
                 let a: Vec<u64> = serial.term_weights.iter().map(|v| v.to_bits()).collect();
                 let b: Vec<u64> = pooled.term_weights.iter().map(|v| v.to_bits()).collect();
                 prop_assert_eq!(a, b, "threads={} policy={:?}", threads, policy);
@@ -94,26 +143,8 @@ proptest! {
         graph in record_graph(),
         steps in 1usize..8,
     ) {
-        let cfg = CliqueRankConfig { steps, threads: 1, kernel: Kernel::Dense, ..Default::default() };
-        let serial = run_cliquerank(&graph, &cfg);
-        for threads in THREADS {
-            // Component cost estimates are internal, so straddle with a
-            // spread of thresholds from forced-inline down to
-            // forced-parallel (1 puts every nonempty component above
-            // the bar, exercising the intra-parallel big-component path).
-            for policy in [
-                DispatchPolicy::always_serial(),
-                DispatchPolicy::new(64),
-                DispatchPolicy::new(1),
-                DispatchPolicy::always_parallel(),
-            ] {
-                let pool = WorkerPool::with_policy(threads, policy);
-                let pooled = run_cliquerank_pooled(&graph, &cfg, &pool);
-                let a: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(a, b, "threads={} policy={:?}", threads, policy);
-            }
-        }
+        let cfg = CliqueRankConfig { steps, kernel: Kernel::Dense, ..Default::default() };
+        cliquerank_bit_identical(&graph, &cfg);
     }
 
     #[test]
@@ -121,21 +152,7 @@ proptest! {
         graph in record_graph(),
         steps in 1usize..8,
     ) {
-        let cfg = CliqueRankConfig { steps, threads: 1, kernel: Kernel::Sparse, ..Default::default() };
-        let serial = run_cliquerank(&graph, &cfg);
-        for threads in THREADS {
-            for policy in [
-                DispatchPolicy::always_serial(),
-                DispatchPolicy::new(64),
-                DispatchPolicy::new(1),
-                DispatchPolicy::always_parallel(),
-            ] {
-                let pool = WorkerPool::with_policy(threads, policy);
-                let pooled = run_cliquerank_pooled(&graph, &cfg, &pool);
-                let a: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(a, b, "threads={} policy={:?}", threads, policy);
-            }
-        }
+        let cfg = CliqueRankConfig { steps, kernel: Kernel::Sparse, ..Default::default() };
+        cliquerank_bit_identical(&graph, &cfg);
     }
 }

@@ -12,14 +12,9 @@
 //! cross-source pairs for the two-source Product dataset).
 //!
 //! Construction is sort-based rather than hash-based: terms enumerate
-//! `(term, pair)` edges independently (parallelizable over term chunks on
-//! a shared [`er_pool::WorkerPool`]), pair ids come from a sort + dedup of
-//! the pair keys, and both CSR sides fill in one term-major pass. The
-//! result is canonical — byte-identical regardless of thread count or
-//! chunking — because edges are concatenated back in term order and ids
-//! come from the sorted pair universe.
-
-use er_pool::WorkerPool;
+//! `(term, pair)` edges in term order, pair ids come from a sort + dedup
+//! of the pair keys, and both CSR sides fill in one term-major pass. The
+//! result is canonical because ids come from the sorted pair universe.
 
 use crate::invariant::{check_offsets, debug_validate, InvariantViolation};
 
@@ -217,9 +212,7 @@ pub struct BipartiteGraphBuilder<'a> {
     n_records: usize,
     n_terms: usize,
     postings: Vec<&'a [u32]>,
-    max_postings: Option<usize>,
-    pair_filter: Option<Box<dyn Fn(u32, u32) -> bool + Sync + 'a>>,
-    pool: Option<&'a WorkerPool>,
+    pair_filter: Option<Box<dyn Fn(u32, u32) -> bool + 'a>>,
 }
 
 impl std::fmt::Debug for BipartiteGraphBuilder<'_> {
@@ -227,9 +220,7 @@ impl std::fmt::Debug for BipartiteGraphBuilder<'_> {
         f.debug_struct("BipartiteGraphBuilder")
             .field("n_records", &self.n_records)
             .field("n_terms", &self.n_terms)
-            .field("max_postings", &self.max_postings)
             .field("has_pair_filter", &self.pair_filter.is_some())
-            .field("pooled", &self.pool.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -241,17 +232,8 @@ impl<'a> BipartiteGraphBuilder<'a> {
             n_records,
             n_terms,
             postings: vec![&[]; n_terms],
-            max_postings: None,
             pair_filter: None,
-            pool: None,
         }
-    }
-
-    /// Enumerates pair edges on this worker pool (term chunks become
-    /// jobs). The built graph is identical with or without a pool.
-    pub fn pool(mut self, pool: &'a WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
     }
 
     /// Sets the postings (sorted record ids) of term `t`.
@@ -264,32 +246,20 @@ impl<'a> BipartiteGraphBuilder<'a> {
         self
     }
 
-    /// Skips terms with more than `cap` postings. This is a safety valve on
-    /// top of the corpus-level frequent-term filter: a term with `N_t`
-    /// postings creates `O(N_t²)` pair edges.
-    pub fn max_postings(mut self, cap: usize) -> Self {
-        self.max_postings = Some(cap);
-        self
-    }
-
     /// Restricts which record pairs become pair nodes (candidate policy).
     /// For the two-source Product dataset this is "records from different
-    /// sources only". `Sync` because the parallel build evaluates the
-    /// policy from several workers at once.
-    pub fn pair_filter(mut self, f: impl Fn(u32, u32) -> bool + Sync + 'a) -> Self {
+    /// sources only".
+    pub fn pair_filter(mut self, f: impl Fn(u32, u32) -> bool + 'a) -> Self {
         self.pair_filter = Some(Box::new(f));
         self
     }
 
-    /// Enumerates `(term, pair)` edges for the term range `lo..hi`, in
-    /// term-major order.
-    fn enumerate_terms(&self, lo: usize, hi: usize, cap: usize) -> Vec<(u32, PairNode)> {
-        let mut edges = Vec::new();
-        for t in lo..hi {
-            let recs = self.postings[t];
-            if recs.len() < 2 || recs.len() > cap {
-                continue;
-            }
+    /// Enumerates pair nodes and builds the dual-CSR structure.
+    pub fn build(self) -> BipartiteGraph {
+        // Phase 1: raw (term, pair) edges the candidate policy accepts,
+        // term-major.
+        let mut edges: Vec<(u32, PairNode)> = Vec::new();
+        for (t, recs) in self.postings.iter().enumerate() {
             for (i, &ra) in recs.iter().enumerate() {
                 for &rb in &recs[i + 1..] {
                     if let Some(f) = &self.pair_filter {
@@ -301,81 +271,23 @@ impl<'a> BipartiteGraphBuilder<'a> {
                 }
             }
         }
-        edges
-    }
-
-    /// Enumerates pair nodes and builds the dual-CSR structure.
-    pub fn build(self) -> BipartiteGraph {
-        let cap = self.max_postings.unwrap_or(usize::MAX);
-        // Phase 1: enumerate raw (term, pair) edges, term-major. With a
-        // pool, term chunks enumerate independently and concatenate back
-        // in term order, so the edge list is the same either way.
-        const MIN_TERMS_PER_JOB: usize = 64;
-        // Per-term enumeration cost is quadratic in posting length;
-        // estimate ~16 ops per term as a flat proxy and let the pool's
-        // dispatch policy decide (tiny vocabularies enumerate inline).
-        let edges: Vec<(u32, PairNode)> = match self.pool {
-            Some(pool)
-                if self.n_terms >= 2 * MIN_TERMS_PER_JOB
-                    && pool.dispatch(self.n_terms.saturating_mul(16)).is_parallel() =>
-            {
-                let ranges =
-                    er_pool::chunk_ranges(self.n_terms, pool.threads() * 4, MIN_TERMS_PER_JOB);
-                let mut parts: Vec<Vec<(u32, PairNode)>> =
-                    ranges.iter().map(|_| Vec::new()).collect();
-                let this = &self;
-                pool.scope(|s| {
-                    for (range, part) in ranges.iter().cloned().zip(parts.iter_mut()) {
-                        s.submit(move || *part = this.enumerate_terms(range.start, range.end, cap));
-                    }
-                });
-                parts.concat()
-            }
-            _ => self.enumerate_terms(0, self.n_terms, cap),
-        };
 
         // Phase 2: canonical pair universe — sorted, deduplicated pair
         // keys. Ids are positions in this sorted list, so `pairs` is
         // binary-searchable and iteration order is independent of the
-        // postings order (the old hash-discovery + remap gave the same
-        // ids at higher cost).
+        // postings order.
         let mut sorted_pairs: Vec<PairNode> = edges.iter().map(|&(_, p)| p).collect();
         sorted_pairs.sort_unstable();
         sorted_pairs.dedup();
 
-        // Phase 3: resolve each edge's pair id (disjoint output chunks,
-        // so this parallelizes too).
-        let mut edge_pair_ids = vec![0u32; edges.len()];
-        let resolve = |edge_chunk: &[(u32, PairNode)], out: &mut [u32]| {
-            for (&(_, p), slot) in edge_chunk.iter().zip(out) {
-                // er-lint: allow(panic) -- sorted_pairs was built from these same edges
-                *slot = sorted_pairs.binary_search(&p).expect("id from universe") as u32;
-            }
-        };
-        // Each edge resolves by binary search (~log₂ |pairs| ≈ 16 ops).
-        match self.pool {
-            Some(pool)
-                if edges.len() >= 2 * 1024
-                    && pool.dispatch(edges.len().saturating_mul(16)).is_parallel() =>
-            {
-                let ranges = er_pool::chunk_ranges(edges.len(), pool.threads() * 4, 1024);
-                pool.scope(|s| {
-                    let mut rest: &mut [u32] = &mut edge_pair_ids;
-                    for range in ranges {
-                        let (chunk, tail) = rest.split_at_mut(range.len());
-                        rest = tail;
-                        let edge_chunk = &edges[range];
-                        let resolve = &resolve;
-                        s.submit(move || resolve(edge_chunk, chunk));
-                    }
-                });
-            }
-            _ => resolve(&edges, &mut edge_pair_ids),
-        }
+        // Phase 3: resolve each edge's pair id.
         let edges: Vec<(u32, u32)> = edges
             .iter()
-            .zip(&edge_pair_ids)
-            .map(|(&(t, _), &p)| (t, p))
+            .map(|&(t, p)| {
+                // er-lint: allow(panic) -- sorted_pairs was built from these same edges
+                let id = sorted_pairs.binary_search(&p).expect("id from universe");
+                (t, id as u32)
+            })
             .collect();
 
         // CSR for term -> pairs.
@@ -495,17 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn max_postings_skips_heavy_terms() {
-        let g = BipartiteGraphBuilder::new(5, 2)
-            .postings(0, &[0, 1, 2, 3, 4])
-            .postings(1, &[0, 1])
-            .max_postings(3)
-            .build();
-        assert_eq!(g.pt(0), 0, "term 0 skipped: 5 postings > cap 3");
-        assert_eq!(g.pair_count(), 1);
-    }
-
-    #[test]
     fn pairs_sorted_and_binary_searchable() {
         let g = sample();
         let ps = g.pairs();
@@ -517,51 +418,6 @@ mod tests {
                 Some(i as u32),
                 "order-insensitive lookup"
             );
-        }
-    }
-
-    #[test]
-    fn pooled_build_is_identical() {
-        // Enough terms to cross the parallel enumeration threshold.
-        let n_terms = 200usize;
-        let n_records = 30u32;
-        let mut state = 0xb19a_u64;
-        let posting_store: Vec<Vec<u32>> = (0..n_terms)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let a = ((state >> 33) % n_records as u64) as u32;
-                let b = (a + 1 + ((state >> 13) % (n_records as u64 - 1)) as u32) % n_records;
-                let c = (a + 2 + ((state >> 3) % (n_records as u64 - 2)) as u32) % n_records;
-                let mut v = vec![a, b, c];
-                v.sort_unstable();
-                v.dedup();
-                v
-            })
-            .collect();
-        let build = |pool: Option<&WorkerPool>| {
-            let mut b = BipartiteGraphBuilder::new(n_records as usize, n_terms);
-            for (t, post) in posting_store.iter().enumerate() {
-                b = b.postings(t as u32, post);
-            }
-            if let Some(p) = pool {
-                b = b.pool(p);
-            }
-            b.build()
-        };
-        let serial = build(None);
-        for threads in [2, 4] {
-            let pool = WorkerPool::new(threads);
-            let pooled = build(Some(&pool));
-            assert_eq!(serial.pairs(), pooled.pairs(), "threads={threads}");
-            assert_eq!(serial.edge_count(), pooled.edge_count());
-            for t in 0..n_terms as u32 {
-                assert_eq!(serial.pairs_of_term(t), pooled.pairs_of_term(t));
-            }
-            for p in 0..serial.pair_count() as u32 {
-                assert_eq!(serial.terms_of_pair(p), pooled.terms_of_pair(p));
-            }
         }
     }
 

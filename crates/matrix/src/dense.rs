@@ -1,7 +1,8 @@
 //! Row-major dense matrix.
 
 use crate::invariant::InvariantViolation;
-use crate::matmul::matmul_packed;
+use crate::matmul::matmul_into;
+use crate::pack::PackScratch;
 
 /// A row-major dense `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,9 +138,13 @@ impl Matrix {
         t
     }
 
-    /// Matrix product using the packed register-tiled kernel.
+    /// Matrix product using the packed register-tiled kernel; allocates
+    /// the output and a transient [`PackScratch`] (hot loops call
+    /// [`crate::matmul_into`] instead).
     pub fn matmul(&self, rhs: &Self) -> Self {
-        matmul_packed(self, rhs)
+        let mut out = Self::zeros(0, 0);
+        matmul_into(self, rhs, &mut out, None, &mut PackScratch::default());
+        out
     }
 
     /// Element-wise (Hadamard) product — the `⊙` of the CliqueRank

@@ -4,9 +4,10 @@
 //!
 //! The paper offloads its `S − 1` repeated multiplications of `n × n`
 //! transition matrices to Eigen with multi-threading; this crate is the
-//! equivalent substrate: a row-major dense [`Matrix`] with a packed
-//! register-tiled multiply (optionally split across a shared worker
-//! pool), the Hadamard (element-wise) product used by the
+//! equivalent substrate: a row-major dense [`Matrix`] with two multiply
+//! kernels — the [`matmul_naive`] oracle and the packed register-tiled
+//! [`matmul_into`] (optionally split across a shared worker pool) — the
+//! Hadamard (element-wise) product used by the
 //! `M^{k−1} ⊙ Mn` masking step, and a CSR sparse matrix for
 //! sparse–dense products on sparse record graphs.
 //!
@@ -30,8 +31,6 @@ pub mod sparse;
 pub use arena::MatrixArena;
 pub use dense::Matrix;
 pub use invariant::InvariantViolation;
-pub use matmul::{
-    matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, matmul_pooled_into,
-};
-pub use pack::{matmul_packed_rows, PackScratch, KC, MR, NR};
+pub use matmul::{matmul_into, matmul_naive};
+pub use pack::{PackScratch, KC, MR, NR};
 pub use sparse::CsrMatrix;

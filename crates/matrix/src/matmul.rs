@@ -2,28 +2,27 @@
 //!
 //! CliqueRank performs `S − 1` products of `n × n` matrices per connected
 //! component per fusion round, so this is the framework's hottest kernel.
-//! The implementations, all producing identical results:
+//! Two implementations, producing identical results:
 //!
 //! * [`matmul_naive`] — reference i-k-j loop over row slices; the oracle
-//!   the others are tested against.
-//! * [`matmul_packed`] — packed register-tiled microkernel
-//!   ([`crate::pack`]); the default ([`Matrix::matmul`]).
-//! * [`matmul_pooled`] — row strips of the packed kernel submitted to a
-//!   shared [`er_pool::WorkerPool`], standing in for Eigen's
-//!   multi-threaded GEMM on the paper's 32-core server, so pipeline
-//!   phases reuse one set of persistent workers.
+//!   the other is tested against.
+//! * [`matmul_into`] — the packed register-tiled microkernel
+//!   ([`crate::pack`]) into a caller-owned output, optionally split into
+//!   row strips on a shared [`er_pool::WorkerPool`] (standing in for
+//!   Eigen's multi-threaded GEMM on the paper's 32-core server, so
+//!   pipeline phases reuse one set of persistent workers).
+//!   [`Matrix::matmul`] is its allocating convenience.
 //!
-//! Row strips are computed independently, so the pooled variant is
-//! bit-identical to [`matmul_packed`] at any thread count. For depths
-//! `k ≤ `[`KC`](crate::pack::KC) every kernel here is bit-identical to
-//! every other (each output element accumulates its products in
-//! ascending `k` order); past one packed panel the packed family differs
-//! from naive only by panel-boundary rounding.
+//! Row strips are computed independently, so the pooled split is
+//! bit-identical to the serial kernel at any thread count. For depths
+//! `k ≤ `[`KC`](crate::pack::KC) both kernels are bit-identical (each
+//! output element accumulates its products in ascending `k` order); past
+//! one packed panel the packed kernel differs from naive only by
+//! panel-boundary rounding.
 //!
-//! Every allocating front end has an `*_into` twin that writes into a
-//! caller-owned [`Matrix`] (reshaped in place) and borrows a
-//! [`PackScratch`], so hot recurrences reach zero steady-state
-//! allocations.
+//! [`matmul_into`] writes into a caller-owned [`Matrix`] (reshaped in
+//! place) and borrows a [`PackScratch`], so hot recurrences reach zero
+//! steady-state allocations.
 
 use er_pool::WorkerPool;
 
@@ -52,71 +51,41 @@ pub fn matmul_naive(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-/// Packed register-tiled product ([`crate::pack`]); the default kernel
-/// behind [`Matrix::matmul`]. Allocates the output and a transient
-/// [`PackScratch`]; hot loops use [`matmul_packed_into`] instead.
-pub fn matmul_packed(a: &Matrix, b: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    let mut scratch = PackScratch::default();
-    matmul_packed_into(a, b, &mut out, &mut scratch);
-    out
-}
-
-/// Packed product into a caller-owned output (reshaped in place) using
-/// caller-owned packing buffers. Allocation-free once `out` and
+/// Packed product `a × b` into a caller-owned output (reshaped in place)
+/// using caller-owned packing buffers; allocation-free once `out` and
 /// `scratch` have grown to the largest shape they serve.
-pub fn matmul_packed_into(a: &Matrix, b: &Matrix, out: &mut Matrix, scratch: &mut PackScratch) {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    debug_validate("matmul_packed (lhs)", || a.validate());
-    debug_validate("matmul_packed (rhs)", || b.validate());
-    let (m, n) = (a.rows(), b.cols());
-    er_obs::counter_add("matmul_packed_total", 1);
-    out.reset(m, n);
-    matmul_packed_rows(a, b, out.data_mut(), 0, m, scratch);
-}
-
-/// Packed product with row strips submitted as jobs to a shared worker
-/// pool, bit-identical to [`matmul_packed`]; serial pools and tiny
-/// products fall through to the single-threaded kernel.
-pub fn matmul_pooled(a: &Matrix, b: &Matrix, pool: &WorkerPool) -> Matrix {
-    let mut out = Matrix::zeros(0, 0);
-    let mut scratch = PackScratch::default();
-    matmul_pooled_into(a, b, &mut out, pool, &mut scratch);
-    out
-}
-
-/// [`matmul_pooled`] into a caller-owned output.
 ///
-/// The serial/parallel decision goes through the pool's
+/// Without a pool the product runs the serial packed kernel. With one,
+/// the serial/parallel decision goes through the pool's
 /// [`er_pool::DispatchPolicy`] on the product's multiply-add count
-/// (`m·n·k`), so sub-cutover products run the serial packed kernel with
-/// zero pool coordination. Parallel products pack each `B` panel **once**
-/// on the caller thread and fan `MR`-aligned row strips out as jobs;
-/// each job checks a private `A`-strip buffer out of the scratch's
+/// (`m·n·k`), so sub-cutover products still run serially with zero pool
+/// coordination. Parallel products pack each `B` panel **once** on the
+/// caller thread and fan `MR`-aligned row strips out as jobs; each job
+/// checks a private `A`-strip buffer out of the scratch's
 /// [`er_pool::ScratchSlot`], so nothing is allocated or re-packed per
-/// band at steady state (the PR-1 decomposition paid both per product).
-/// Per-element accumulation order is unchanged by the strip split, so
-/// results stay bit-identical to [`matmul_packed`] at any thread count.
-pub fn matmul_pooled_into(
+/// band at steady state. Per-element accumulation order is unchanged by
+/// the strip split, so results are bit-identical at any thread count.
+pub fn matmul_into(
     a: &Matrix,
     b: &Matrix,
     out: &mut Matrix,
-    pool: &WorkerPool,
+    pool: Option<&WorkerPool>,
     scratch: &mut PackScratch,
 ) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    debug_validate("matmul_pooled (lhs)", || a.validate());
-    debug_validate("matmul_pooled (rhs)", || b.validate());
+    debug_validate("matmul (lhs)", || a.validate());
+    debug_validate("matmul (rhs)", || b.validate());
     let (m, n) = (a.rows(), b.cols());
     let k = a.cols();
     let work = m.saturating_mul(n).saturating_mul(k);
-    if !pool.dispatch(work).is_parallel() {
-        matmul_packed_into(a, b, out, scratch);
+    out.reset(m, n);
+    let Some(pool) = pool.filter(|p| p.dispatch(work).is_parallel()) else {
+        er_obs::counter_add("matmul_packed_total", 1);
+        matmul_packed_rows(a, b, out.data_mut(), 0, m, scratch);
         return;
-    }
+    };
     let _span = er_obs::span("matmul");
     er_obs::counter_add("matmul_pooled_total", 1);
-    out.reset(m, n);
     if m == 0 || n == 0 {
         return;
     }
@@ -160,14 +129,21 @@ mod tests {
         })
     }
 
+    /// [`matmul_into`] into a fresh output and scratch.
+    fn product(a: &Matrix, b: &Matrix, pool: Option<&WorkerPool>) -> Matrix {
+        let mut out = Matrix::zeros(0, 0);
+        matmul_into(a, b, &mut out, pool, &mut PackScratch::default());
+        out
+    }
+
     #[test]
     fn small_known_product() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
         let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
         let expect = Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]);
         assert_eq!(matmul_naive(&a, &b), expect);
-        assert_eq!(matmul_packed(&a, &b), expect);
-        assert_eq!(matmul_pooled(&a, &b, &WorkerPool::new(4)), expect);
+        assert_eq!(a.matmul(&b), expect);
+        assert_eq!(product(&a, &b, Some(&WorkerPool::new(4))), expect);
     }
 
     #[test]
@@ -178,8 +154,7 @@ mod tests {
         assert!(n <= KC);
         let a = deterministic(n, n, 11);
         let b = deterministic(n, n, 12);
-        let packed = matmul_packed(&a, &b);
-        assert_eq!(packed, matmul_naive(&a, &b));
+        assert_eq!(a.matmul(&b), matmul_naive(&a, &b));
     }
 
     #[test]
@@ -189,7 +164,7 @@ mod tests {
         for (m, k, n) in [(33, 20, 11), (5, 5, 5), (20, 40, 20)] {
             let a = deterministic(m, k, 20);
             let b = deterministic(k, n, 21);
-            matmul_packed_into(&a, &b, &mut out, &mut scratch);
+            matmul_into(&a, &b, &mut out, None, &mut scratch);
             assert_eq!(out, matmul_naive(&a, &b));
         }
     }
@@ -199,7 +174,7 @@ mod tests {
         let a = deterministic(3, 7, 1);
         let b = deterministic(7, 5, 2);
         let naive = matmul_naive(&a, &b);
-        assert!(matmul_packed(&a, &b).approx_eq(&naive, 1e-12));
+        assert!(a.matmul(&b).approx_eq(&naive, 1e-12));
         assert_eq!(naive.rows(), 3);
         assert_eq!(naive.cols(), 5);
     }
@@ -209,10 +184,10 @@ mod tests {
         let n = 97;
         let a = deterministic(n, n, 5);
         let b = deterministic(n, n, 6);
-        let single = matmul_packed(&a, &b);
+        let single = product(&a, &b, None);
         for threads in [1, 2, 3, 8] {
             let pool = WorkerPool::new(threads);
-            assert_eq!(matmul_pooled(&a, &b, &pool), single, "threads={threads}");
+            assert_eq!(product(&a, &b, Some(&pool)), single, "threads={threads}");
         }
     }
 
@@ -223,9 +198,9 @@ mod tests {
         let (m, k, n) = (70, 2 * KC + 3, 40);
         let a = deterministic(m, k, 30);
         let b = deterministic(k, n, 31);
-        let single = matmul_packed(&a, &b);
+        let single = product(&a, &b, None);
         let pool = WorkerPool::new(4);
-        assert_eq!(matmul_pooled(&a, &b, &pool), single);
+        assert_eq!(product(&a, &b, Some(&pool)), single);
         assert!(single.approx_eq(&matmul_naive(&a, &b), 1e-9));
     }
 
@@ -235,7 +210,7 @@ mod tests {
         for seed in 0..6 {
             let a = deterministic(70 + seed as usize, 80, seed);
             let b = deterministic(80, 90, seed + 100);
-            assert!(matmul_pooled(&a, &b, &pool).approx_eq(&matmul_naive(&a, &b), 1e-9));
+            assert!(product(&a, &b, Some(&pool)).approx_eq(&matmul_naive(&a, &b), 1e-9));
         }
     }
 
@@ -243,27 +218,27 @@ mod tests {
     fn zero_and_identity() {
         let a = deterministic(10, 10, 7);
         let z = Matrix::zeros(10, 10);
-        assert!(matmul_packed(&a, &z).approx_eq(&z, 0.0));
-        assert!(matmul_packed(&a, &Matrix::identity(10)).approx_eq(&a, 1e-12));
+        assert!(a.matmul(&z).approx_eq(&z, 0.0));
+        assert!(a.matmul(&Matrix::identity(10)).approx_eq(&a, 1e-12));
     }
 
     #[test]
     fn one_by_one() {
         let a = Matrix::from_rows(&[&[3.0]]);
         let b = Matrix::from_rows(&[&[4.0]]);
-        assert_eq!(matmul_packed(&a, &b).get(0, 0), 12.0);
+        assert_eq!(a.matmul(&b).get(0, 0), 12.0);
     }
 
     #[test]
     fn empty_dims() {
         let a = Matrix::zeros(0, 0);
-        let out = matmul_packed(&a, &a);
+        let out = a.matmul(&a);
         assert_eq!(out.rows(), 0);
     }
 
     #[test]
     #[should_panic(expected = "inner dimensions")]
     fn mismatched_inner_dims() {
-        matmul_packed(&Matrix::zeros(2, 3), &Matrix::zeros(2, 3));
+        Matrix::zeros(2, 3).matmul(&Matrix::zeros(2, 3));
     }
 }

@@ -35,7 +35,7 @@
 //! the textbook triple loop ([`crate::matmul_naive`]). Accumulators are
 //! per-row independent (no cross-row floating-point operation), so
 //! splitting the row range across threads at *any* boundary — the
-//! decomposition [`crate::matmul_pooled`] uses — reproduces
+//! decomposition the pooled [`crate::matmul_into`] uses — reproduces
 //! the serial result bit for bit at every thread count.
 
 use er_pool::ScratchSlot;
@@ -137,11 +137,10 @@ fn microkernel(a_pack: &[f64], b_panel: &[f64], acc: &mut [[f64; NR]; MR]) {
 
 /// Multiplies rows `row_start..row_end` of `a` by `b` into `out_rows`
 /// (a zeroed row-major buffer of `(row_end − row_start) × b.cols()`),
-/// using `scratch` for the packed operands. This is the band kernel the
-/// serial and pooled front ends share; per-row results
-/// are independent of the band split (see the module docs), so every
-/// decomposition is bit-identical.
-pub fn matmul_packed_rows(
+/// using `scratch` for the packed operands. This is the serial path of
+/// [`crate::matmul_into`]; per-row results are independent of the band
+/// split (see the module docs), so every decomposition is bit-identical.
+pub(crate) fn matmul_packed_rows(
     a: &Matrix,
     b: &Matrix,
     out_rows: &mut [f64],

@@ -5,9 +5,7 @@
 //! rounding slack at all), and the pooled row-strip splits must be
 //! bit-identical to the serial packed kernel at every thread count.
 
-use er_matrix::{
-    matmul_naive, matmul_packed, matmul_packed_into, matmul_pooled, Matrix, PackScratch, KC, MR, NR,
-};
+use er_matrix::{matmul_into, matmul_naive, Matrix, PackScratch, KC, MR, NR};
 use er_pool::{DispatchPolicy, WorkerPool};
 use proptest::prelude::*;
 
@@ -38,6 +36,13 @@ fn matrix_of(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
         .prop_map(move |data| Matrix::from_vec(rows, cols, data))
 }
 
+/// [`matmul_into`] into a fresh output and scratch.
+fn pooled(a: &Matrix, b: &Matrix, pool: &WorkerPool) -> Matrix {
+    let mut out = Matrix::zeros(0, 0);
+    matmul_into(a, b, &mut out, Some(pool), &mut PackScratch::default());
+    out
+}
+
 fn ragged_pair() -> impl Strategy<Value = (Matrix, Matrix)> {
     (ragged_dim(), ragged_dim(), ragged_dim())
         .prop_flat_map(|(m, k, n)| (matrix_of(m, k), matrix_of(k, n)))
@@ -52,7 +57,7 @@ proptest! {
         // kernel's per-element sum runs in the same ascending-k order as
         // the naive kernel: results must match to the last bit.
         prop_assert!(a.cols() <= KC);
-        let packed = matmul_packed(&a, &b);
+        let packed = a.matmul(&b);
         let naive = matmul_naive(&a, &b);
         prop_assert_eq!(packed.data(), naive.data());
     }
@@ -65,19 +70,19 @@ proptest! {
         // Scratch reuse across unrelated shapes must not leak state.
         let mut scratch = PackScratch::default();
         let mut out = Matrix::zeros(1, 1);
-        matmul_packed_into(&a2, &b2, &mut out, &mut scratch);
-        matmul_packed_into(&a, &b, &mut out, &mut scratch);
-        prop_assert_eq!(out.data(), matmul_packed(&a, &b).data());
+        matmul_into(&a2, &b2, &mut out, None, &mut scratch);
+        matmul_into(&a, &b, &mut out, None, &mut scratch);
+        prop_assert_eq!(out.data(), a.matmul(&b).data());
         prop_assert_eq!(out.rows(), a.rows());
         prop_assert_eq!(out.cols(), b.cols());
     }
 
     #[test]
     fn pooled_bit_identical_at_any_thread_count((a, b) in ragged_pair()) {
-        let serial = matmul_packed(&a, &b);
+        let serial = a.matmul(&b);
         for threads in [1usize, 2, 8] {
             let pool = WorkerPool::with_policy(threads, DispatchPolicy::always_parallel());
-            let p = matmul_pooled(&a, &b, &pool);
+            let p = pooled(&a, &b, &pool);
             prop_assert_eq!(p.data(), serial.data(), "pooled threads={}", threads);
         }
     }
@@ -94,10 +99,10 @@ proptest! {
         let k = KC + 7;
         let a = Matrix::from_fn(m, k, |i, j| a_seed[(i * 31 + j * 17) % 16] * 0.5);
         let b = Matrix::from_fn(k, n, |i, j| a_seed[(i * 13 + j * 29) % 16] * 0.25);
-        let serial = matmul_packed(&a, &b);
+        let serial = a.matmul(&b);
         for threads in [2usize, 8] {
             let pool = WorkerPool::with_policy(threads, DispatchPolicy::always_parallel());
-            let p = matmul_pooled(&a, &b, &pool);
+            let p = pooled(&a, &b, &pool);
             prop_assert_eq!(p.data(), serial.data(), "threads={}", threads);
         }
     }

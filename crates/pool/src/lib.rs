@@ -330,11 +330,6 @@ impl WorkerPool {
         }
     }
 
-    /// A pool sized to the machine (`available_parallelism`).
-    pub fn with_available_parallelism() -> Self {
-        Self::new(std::thread::available_parallelism().map_or(1, std::num::NonZero::get))
-    }
-
     /// Total worker count, including the scoping thread.
     pub fn threads(&self) -> usize {
         self.threads

@@ -19,7 +19,7 @@ use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
 use er_pool::WorkerPool;
 
 use crate::corpus::Corpus;
-use crate::lsh::{lsh_blocking, lsh_blocking_cached, LshParams, SignatureCache};
+use crate::lsh::{lsh_blocking, LshParams, SignatureCache};
 use crate::metablocking::{meta_block, BlockCollection, MetaConfig};
 use crate::simeng::{BatchScorer, SimKernel};
 use crate::tokenize::TermId;
@@ -119,6 +119,20 @@ impl BlockingStrategy {
     /// Generates this strategy's sorted, deduplicated `(a, b)` candidate
     /// pairs (`a < b`), bit-identical at any thread count.
     pub fn candidate_pairs(&self, corpus: &Corpus, pool: &WorkerPool) -> Vec<(u32, u32)> {
+        self.candidates(corpus, pool, None)
+    }
+
+    /// [`Self::candidate_pairs`], with the LSH and meta strategies
+    /// reusing MinHash band keys from `signatures` for records whose term
+    /// set is unchanged since the cache last saw them; the other
+    /// strategies compute no signatures and ignore it. The output is the
+    /// same either way.
+    fn candidates(
+        &self,
+        corpus: &Corpus,
+        pool: &WorkerPool,
+        signatures: Option<&mut SignatureCache>,
+    ) -> Vec<(u32, u32)> {
         let _span = er_obs::span("blocking.candidates");
         match self {
             Self::TokenGraph => token_blocking(corpus, usize::MAX),
@@ -127,7 +141,7 @@ impl BlockingStrategy {
             Self::Lsh {
                 params,
                 max_block_size,
-            } => lsh_blocking(corpus, params, *max_block_size, pool),
+            } => lsh_blocking(corpus, params, *max_block_size, pool, signatures),
             Self::Meta(m) => {
                 let mut blocks = if m.token_blocks {
                     BlockCollection::from_token_blocks(corpus)
@@ -135,47 +149,11 @@ impl BlockingStrategy {
                     BlockCollection::new()
                 };
                 if let Some(params) = &m.lsh {
-                    blocks.extend_from(&BlockCollection::from_lsh(corpus, params, pool));
+                    let buckets = BlockCollection::from_lsh(corpus, params, pool, signatures);
+                    blocks.extend_from(&buckets);
                 }
                 meta_block(&blocks, corpus.len(), &m.config, pool)
             }
-        }
-    }
-
-    /// [`Self::candidate_pairs`] through a [`SignatureCache`]: the LSH
-    /// and meta strategies reuse MinHash band keys for records whose
-    /// term set is unchanged since the cache last saw them; the other
-    /// strategies compute no signatures and ignore the cache. Output is
-    /// identical to `candidate_pairs`.
-    pub fn candidate_pairs_cached(
-        &self,
-        corpus: &Corpus,
-        pool: &WorkerPool,
-        cache: &mut SignatureCache,
-    ) -> Vec<(u32, u32)> {
-        match self {
-            Self::Lsh {
-                params,
-                max_block_size,
-            } => {
-                let _span = er_obs::span("blocking.candidates");
-                lsh_blocking_cached(corpus, params, *max_block_size, pool, cache)
-            }
-            Self::Meta(m) => {
-                let _span = er_obs::span("blocking.candidates");
-                let mut blocks = if m.token_blocks {
-                    BlockCollection::from_token_blocks(corpus)
-                } else {
-                    BlockCollection::new()
-                };
-                if let Some(params) = &m.lsh {
-                    blocks.extend_from(&BlockCollection::from_lsh_cached(
-                        corpus, params, pool, cache,
-                    ));
-                }
-                meta_block(&blocks, corpus.len(), &m.config, pool)
-            }
-            _ => self.candidate_pairs(corpus, pool),
         }
     }
 
@@ -183,12 +161,11 @@ impl BlockingStrategy {
     /// candidates — the one place a corpus's postings become a graph.
     ///
     /// `signatures`, when given, keeps MinHash band keys warm across
-    /// calls ([`Self::candidate_pairs_cached`]); the output is the same
-    /// either way. `keep` is the candidate policy (e.g. cross-source
-    /// only). [`Self::TokenGraph`] enumerates the postings with `keep` as
-    /// the pair filter; every other strategy applies `keep` to its sorted
-    /// candidate list first, so the builder's per-pair filter is a
-    /// single binary search.
+    /// calls; the output is the same either way. `keep` is the candidate
+    /// policy (e.g. cross-source only). [`Self::TokenGraph`] enumerates
+    /// the postings with `keep` as the pair filter; every other strategy
+    /// applies `keep` to its sorted candidate list first, so the
+    /// builder's per-pair filter is a single binary search.
     pub fn candidate_graph(
         &self,
         corpus: &Corpus,
@@ -196,10 +173,9 @@ impl BlockingStrategy {
         signatures: Option<&mut SignatureCache>,
         keep: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
     ) -> BipartiteGraph {
-        let allowed = match (self, signatures) {
-            (Self::TokenGraph, _) => None,
-            (_, Some(cache)) => Some(self.candidate_pairs_cached(corpus, pool, cache)),
-            (_, None) => Some(self.candidate_pairs(corpus, pool)),
+        let allowed = match self {
+            Self::TokenGraph => None,
+            _ => Some(self.candidates(corpus, pool, signatures)),
         };
         let allowed = allowed.map(|mut pairs| {
             if let Some(keep) = keep {
@@ -592,13 +568,13 @@ mod tests {
             let plain = s.candidate_pairs(&c, &pool);
             // Cold cache, then warm cache: both must match the plain path.
             assert_eq!(
-                s.candidate_pairs_cached(&c, &pool, &mut cache),
+                s.candidates(&c, &pool, Some(&mut cache)),
                 plain,
                 "{} cold",
                 s.name()
             );
             assert_eq!(
-                s.candidate_pairs_cached(&c, &pool, &mut cache),
+                s.candidates(&c, &pool, Some(&mut cache)),
                 plain,
                 "{} warm",
                 s.name()

@@ -68,8 +68,7 @@ pub use blocking::{
 };
 pub use corpus::{Corpus, CorpusBuilder};
 pub use lsh::{
-    lsh_blocking, lsh_blocking_cached, minhash_band_keys, minhash_band_keys_cached, LshParams,
-    SignatureCache,
+    lsh_blocking, minhash_band_keys, minhash_band_keys_cached, LshParams, SignatureCache,
 };
 pub use metablocking::{meta_block, BlockCollection, MetaConfig, Pruning, WeightScheme};
 pub use metrics::{

@@ -324,31 +324,32 @@ fn entries_from_keys(corpus: &Corpus, params: &LshParams, keys: &[u64]) -> Vec<(
 /// Sorted `(bucket key, record)` entries — one per (record, band) for
 /// records with non-empty term sets. Equal keys form an LSH bucket; the
 /// sort makes downstream grouping deterministic.
+///
+/// `signatures`, when given, maintains the band keys incrementally
+/// ([`minhash_band_keys_cached`]); the output is identical either way.
 pub fn lsh_bucket_entries(
     corpus: &Corpus,
     params: &LshParams,
     pool: &WorkerPool,
+    signatures: Option<&mut SignatureCache>,
 ) -> Vec<(u64, u32)> {
-    let keys = minhash_band_keys(corpus, params, pool);
-    entries_from_keys(corpus, params, &keys)
-}
-
-/// [`lsh_bucket_entries`] with signatures maintained incrementally in a
-/// [`SignatureCache`] — identical output.
-pub fn lsh_bucket_entries_cached(
-    corpus: &Corpus,
-    params: &LshParams,
-    pool: &WorkerPool,
-    cache: &mut SignatureCache,
-) -> Vec<(u64, u32)> {
-    let keys = minhash_band_keys_cached(corpus, params, pool, cache);
-    entries_from_keys(corpus, params, keys)
+    match signatures {
+        Some(cache) => {
+            let keys = minhash_band_keys_cached(corpus, params, pool, cache);
+            entries_from_keys(corpus, params, keys)
+        }
+        None => entries_from_keys(corpus, params, &minhash_band_keys(corpus, params, pool)),
+    }
 }
 
 /// Banding LSH blocking: candidates are all record pairs sharing at
 /// least one band bucket, with buckets above `max_block_size` skipped
 /// (an oversized bucket is the hash-space image of a stop-term block —
 /// quadratic and nearly information-free).
+///
+/// `signatures`, when given, keeps MinHash band keys warm across calls,
+/// so a steady-state call only recomputes signatures for records whose
+/// term set changed; the candidate list is the same either way.
 ///
 /// Returns sorted, deduplicated `(a, b)` pairs with `a < b`, identical
 /// at every thread count.
@@ -357,28 +358,12 @@ pub fn lsh_blocking(
     params: &LshParams,
     max_block_size: usize,
     pool: &WorkerPool,
+    signatures: Option<&mut SignatureCache>,
 ) -> Vec<(u32, u32)> {
     let _span = er_obs::span("blocking.lsh");
     er_obs::gauge_set("blocking.lsh.bands", params.bands as f64);
     er_obs::gauge_set("blocking.lsh.rows", params.rows as f64);
-    let entries = lsh_bucket_entries(corpus, params, pool);
-    pairs_from_entries(corpus, &entries, max_block_size)
-}
-
-/// [`lsh_blocking`] with signatures maintained incrementally in a
-/// [`SignatureCache`] — identical candidate list, but a steady-state
-/// call only recomputes signatures for records whose term set changed.
-pub fn lsh_blocking_cached(
-    corpus: &Corpus,
-    params: &LshParams,
-    max_block_size: usize,
-    pool: &WorkerPool,
-    cache: &mut SignatureCache,
-) -> Vec<(u32, u32)> {
-    let _span = er_obs::span("blocking.lsh");
-    er_obs::gauge_set("blocking.lsh.bands", params.bands as f64);
-    er_obs::gauge_set("blocking.lsh.rows", params.rows as f64);
-    let entries = lsh_bucket_entries_cached(corpus, params, pool, cache);
+    let entries = lsh_bucket_entries(corpus, params, pool, signatures);
     pairs_from_entries(corpus, &entries, max_block_size)
 }
 
@@ -474,7 +459,7 @@ mod tests {
     fn identical_records_always_collide() {
         let c = corpus();
         let pool = WorkerPool::new(1);
-        let pairs = lsh_blocking(&c, &LshParams::default(), usize::MAX, &pool);
+        let pairs = lsh_blocking(&c, &LshParams::default(), usize::MAX, &pool, None);
         assert!(pairs.contains(&(0, 3)), "{pairs:?}"); // identical texts
         assert!(pairs.contains(&(0, 1)), "{pairs:?}"); // 4/6 Jaccard
     }
@@ -483,7 +468,7 @@ mod tests {
     fn dissimilar_records_do_not_collide() {
         let c = corpus();
         let pool = WorkerPool::new(1);
-        let pairs = lsh_blocking(&c, &LshParams::new(8, 8), usize::MAX, &pool);
+        let pairs = lsh_blocking(&c, &LshParams::new(8, 8), usize::MAX, &pool, None);
         assert!(!pairs.iter().any(|&(a, b)| a == 2 || b == 2), "{pairs:?}");
     }
 
@@ -506,12 +491,12 @@ mod tests {
         let pool = WorkerPool::new(1);
         let p = LshParams::default();
         let mut cache = SignatureCache::new();
-        let plain = lsh_blocking(&c, &p, usize::MAX, &pool);
-        let cold = lsh_blocking_cached(&c, &p, usize::MAX, &pool, &mut cache);
+        let plain = lsh_blocking(&c, &p, usize::MAX, &pool, None);
+        let cold = lsh_blocking(&c, &p, usize::MAX, &pool, Some(&mut cache));
         assert_eq!(plain, cold);
         assert_eq!(cache.recomputed(), c.len() as u64);
         // Same corpus again: every row reuses.
-        let warm = lsh_blocking_cached(&c, &p, usize::MAX, &pool, &mut cache);
+        let warm = lsh_blocking(&c, &p, usize::MAX, &pool, Some(&mut cache));
         assert_eq!(plain, warm);
         assert_eq!(cache.reused(), c.len() as u64);
         // A grown corpus recomputes only the new record.
@@ -522,8 +507,8 @@ mod tests {
             .push_text("fenix sunset 8358 hollywood grill")
             .push_text("fenix sunset 8358 hollywood tavern")
             .build();
-        let incr = lsh_blocking_cached(&grown, &p, usize::MAX, &pool, &mut cache);
-        assert_eq!(incr, lsh_blocking(&grown, &p, usize::MAX, &pool));
+        let incr = lsh_blocking(&grown, &p, usize::MAX, &pool, Some(&mut cache));
+        assert_eq!(incr, lsh_blocking(&grown, &p, usize::MAX, &pool, None));
         assert_eq!(cache.recomputed(), c.len() as u64 + 1);
         assert_eq!(cache.reused(), 2 * c.len() as u64);
     }
@@ -571,9 +556,9 @@ mod tests {
         }
         let c = b.build();
         let pool = WorkerPool::new(1);
-        let uncapped = lsh_blocking(&c, &LshParams::default(), usize::MAX, &pool);
+        let uncapped = lsh_blocking(&c, &LshParams::default(), usize::MAX, &pool, None);
         assert_eq!(uncapped.len(), 45); // C(10, 2)
-        let capped = lsh_blocking(&c, &LshParams::default(), 4, &pool);
+        let capped = lsh_blocking(&c, &LshParams::default(), 4, &pool, None);
         assert!(capped.is_empty(), "{capped:?}");
     }
 
@@ -583,7 +568,7 @@ mod tests {
             .extend_texts(["shared words", "shared words", "", ""])
             .build();
         let pool = WorkerPool::new(1);
-        let pairs = lsh_blocking(&c, &LshParams::default(), usize::MAX, &pool);
+        let pairs = lsh_blocking(&c, &LshParams::default(), usize::MAX, &pool, None);
         assert_eq!(pairs, vec![(0, 1)]);
     }
 }

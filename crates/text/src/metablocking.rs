@@ -27,7 +27,7 @@
 use er_pool::{chunk_ranges, WorkerPool};
 
 use crate::corpus::Corpus;
-use crate::lsh::{lsh_bucket_entries, lsh_bucket_entries_cached, LshParams, SignatureCache};
+use crate::lsh::{lsh_bucket_entries, LshParams, SignatureCache};
 use crate::tokenize::TermId;
 
 /// An overlapping collection of record blocks in CSR form.
@@ -69,21 +69,16 @@ impl BlockCollection {
     }
 
     /// One block per LSH band bucket with ≥ 2 records, in bucket-key
-    /// order (see [`lsh_bucket_entries`]).
-    pub fn from_lsh(corpus: &Corpus, params: &LshParams, pool: &WorkerPool) -> Self {
-        Self::from_bucket_entries(&lsh_bucket_entries(corpus, params, pool))
-    }
-
-    /// [`Self::from_lsh`] through a [`SignatureCache`]: band keys are
-    /// recomputed only for records whose term set changed since the
-    /// cache last saw them. Identical output to `from_lsh`.
-    pub fn from_lsh_cached(
+    /// order (see [`lsh_bucket_entries`]). `signatures`, when given,
+    /// recomputes band keys only for records whose term set changed
+    /// since the cache last saw them; the blocks are the same either way.
+    pub fn from_lsh(
         corpus: &Corpus,
         params: &LshParams,
         pool: &WorkerPool,
-        cache: &mut SignatureCache,
+        signatures: Option<&mut SignatureCache>,
     ) -> Self {
-        Self::from_bucket_entries(&lsh_bucket_entries_cached(corpus, params, pool, cache))
+        Self::from_bucket_entries(&lsh_bucket_entries(corpus, params, pool, signatures))
     }
 
     /// Groups sorted `(bucket key, record)` entries into blocks.
@@ -580,7 +575,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         let mut blocks = BlockCollection::from_token_blocks(&c);
         let before = blocks.len();
-        let lsh = BlockCollection::from_lsh(&c, &LshParams::default(), &pool);
+        let lsh = BlockCollection::from_lsh(&c, &LshParams::default(), &pool, None);
         blocks.extend_from(&lsh);
         assert_eq!(blocks.len(), before + lsh.len());
         assert!(!blocks.is_empty());

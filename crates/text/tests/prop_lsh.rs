@@ -38,7 +38,7 @@ proptest! {
         let corpus = CorpusBuilder::new().extend_texts(texts).build();
         let params = LshParams::new(16, 2);
         let pool = WorkerPool::new(1);
-        let pairs = lsh_blocking(&corpus, &params, usize::MAX, &pool);
+        let pairs = lsh_blocking(&corpus, &params, usize::MAX, &pool, None);
         for a in 0..corpus.len() {
             for b in a + 1..corpus.len() {
                 let p = params.collision_probability(jaccard(&corpus, a, b));
@@ -60,7 +60,7 @@ proptest! {
     fn lsh_candidates_are_plausible(texts in texts()) {
         let corpus = CorpusBuilder::new().extend_texts(texts).build();
         let pool = WorkerPool::new(1);
-        let pairs = lsh_blocking(&corpus, &LshParams::new(4, 4), usize::MAX, &pool);
+        let pairs = lsh_blocking(&corpus, &LshParams::new(4, 4), usize::MAX, &pool, None);
         for w in pairs.windows(2) {
             prop_assert!(w[0] < w[1], "sorted + deduplicated");
         }
@@ -133,7 +133,7 @@ proptest! {
         });
         let meta = strategy.candidate_pairs(&corpus, &pool);
         let token = token_blocking(&corpus, usize::MAX);
-        let lsh = lsh_blocking(&corpus, &LshParams::new(8, 2), usize::MAX, &pool);
+        let lsh = lsh_blocking(&corpus, &LshParams::new(8, 2), usize::MAX, &pool, None);
         for &p in &meta {
             prop_assert!(
                 token.binary_search(&p).is_ok() || lsh.binary_search(&p).is_ok(),

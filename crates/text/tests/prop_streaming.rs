@@ -7,7 +7,7 @@
 
 use er_pool::WorkerPool;
 use er_text::blocking::{BlockingStrategy, MetaBlocking};
-use er_text::lsh::{minhash_band_keys, LshParams, SignatureCache};
+use er_text::lsh::{lsh_blocking, minhash_band_keys, LshParams, SignatureCache};
 use er_text::{Corpus, CorpusBuilder, StreamingCorpus, TermId};
 use proptest::prelude::*;
 
@@ -72,20 +72,30 @@ proptest! {
     #[test]
     fn cached_blocking_equals_plain_while_ingesting(texts in texts()) {
         let pool = WorkerPool::new(1);
+        let params = LshParams::default();
         let strategies = [
-            BlockingStrategy::Lsh { params: LshParams::default(), max_block_size: 64 },
+            BlockingStrategy::Lsh { params, max_block_size: 64 },
             BlockingStrategy::Meta(MetaBlocking::default()),
         ];
         for strategy in &strategies {
             let mut s = StreamingCorpus::new();
-            let mut cache = SignatureCache::new();
+            let mut graph_cache = SignatureCache::new();
+            let mut lsh_cache = SignatureCache::new();
             for t in &texts {
                 s.push_record(t);
                 let c = s.materialize(0.5);
+                // The candidate graph through a warm cache equals the
+                // plain one pair for pair and term for term.
+                let cached = strategy.candidate_graph(&c, &pool, Some(&mut graph_cache), None);
+                let plain = strategy.candidate_graph(&c, &pool, None, None);
+                prop_assert_eq!(cached.pairs(), plain.pairs(), "{}", strategy.name());
+                for p in 0..plain.pair_count() as u32 {
+                    prop_assert_eq!(cached.terms_of_pair(p), plain.terms_of_pair(p));
+                }
+                // So do the LSH candidates and buckets beneath it.
                 prop_assert_eq!(
-                    strategy.candidate_pairs_cached(&c, &pool, &mut cache),
-                    strategy.candidate_pairs(&c, &pool),
-                    "{}", strategy.name()
+                    lsh_blocking(&c, &params, 64, &pool, Some(&mut lsh_cache)),
+                    lsh_blocking(&c, &params, 64, &pool, None)
                 );
             }
         }

@@ -120,8 +120,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             .map_err(|e| format!("bad ER_THREADS: {e}"))?
             .max(1);
         opts.config.threads = t;
-        opts.config.iter.threads = t;
-        opts.config.cliquerank.threads = t;
     }
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -145,10 +143,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
             "--output" => opts.output = value("--output")?,
             "--threads" => {
-                let t = parse_usize(&value("--threads")?)?.max(1);
-                opts.config.threads = t;
-                opts.config.iter.threads = t;
-                opts.config.cliquerank.threads = t;
+                opts.config.threads = parse_usize(&value("--threads")?)?.max(1);
             }
             "--scale" => opts.scale = parse_f64(&value("--scale")?)?,
             "--seed" => opts.seed = parse_usize(&value("--seed")?)? as u64,
@@ -335,8 +330,6 @@ mod tests {
     fn parses_threads_option() {
         let o = parse_options(&args(&["d.tsv", "--threads", "3"])).unwrap();
         assert_eq!(o.config.threads, 3);
-        assert_eq!(o.config.iter.threads, 3);
-        assert_eq!(o.config.cliquerank.threads, 3);
         // 0 clamps to 1 rather than erroring.
         let o = parse_options(&args(&["d.tsv", "--threads", "0"])).unwrap();
         assert_eq!(o.config.threads, 1);

@@ -178,8 +178,10 @@ mod tests {
         ];
         let d = Dataset::new("t", records, SourcePolicy::WithinSingleSource);
         let prepared = pipeline::prepare_with(&d, 1.0);
-        let mut cfg = FusionConfig::default();
-        cfg.cliquerank.threads = 1;
+        let cfg = FusionConfig {
+            threads: 1,
+            ..Default::default()
+        };
         let outcome = Resolver::new(cfg).resolve(&prepared.graph);
         (d, prepared, outcome)
     }

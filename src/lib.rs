@@ -23,7 +23,7 @@
 //!     seed: 7,
 //! });
 //! let mut config = FusionConfig::default();
-//! config.cliquerank.threads = 1;
+//! config.threads = 1;
 //! let run = pipeline::resolve_dataset(&dataset, &config);
 //! let f1 = run.evaluate().f1();
 //! // 42 records is a demo-sized corpus; at benchmark scale the fusion
@@ -351,9 +351,11 @@ mod tests {
             duplicate_pairs: 10,
             seed: 3,
         });
-        let mut cfg = FusionConfig::default();
-        cfg.cliquerank.threads = 1;
-        cfg.rounds = 2;
+        let cfg = FusionConfig {
+            threads: 1,
+            rounds: 2,
+            ..Default::default()
+        };
         let run = pipeline::resolve_dataset(&d, &cfg);
         let counts = run.evaluate();
         assert!(counts.f1() > 0.7, "{counts:?}");
@@ -384,9 +386,11 @@ mod tests {
             duplicate_pairs: 10,
             seed: 3,
         });
-        let mut cfg = FusionConfig::default();
-        cfg.cliquerank.threads = 1;
-        cfg.rounds = 2;
+        let cfg = FusionConfig {
+            threads: 1,
+            rounds: 2,
+            ..Default::default()
+        };
         let run = pipeline::resolve_dataset_seeded(&d, &cfg);
         let counts = run.evaluate();
         assert!(counts.f1() > 0.7, "{counts:?}");
@@ -432,9 +436,11 @@ mod tests {
         for p in meta.graph.pairs() {
             assert!(universe.contains(&(p.a, p.b)));
         }
-        let mut cfg = FusionConfig::default();
-        cfg.cliquerank.threads = 1;
-        cfg.rounds = 2;
+        let cfg = FusionConfig {
+            threads: 1,
+            rounds: 2,
+            ..Default::default()
+        };
         let run = pipeline::resolve_dataset_seeded_with(
             &d,
             &cfg,

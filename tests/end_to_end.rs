@@ -9,12 +9,11 @@ use er_datasets::{generators, PaperConfig, ProductConfig, RestaurantConfig};
 use unsupervised_er::pipeline;
 
 fn quick(rounds: usize) -> FusionConfig {
-    let mut cfg = FusionConfig {
+    FusionConfig {
         rounds,
+        threads: 1,
         ..Default::default()
-    };
-    cfg.cliquerank.threads = 1;
-    cfg
+    }
 }
 
 #[test]

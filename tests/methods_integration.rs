@@ -264,9 +264,11 @@ fn acd_and_power_resolve_with_fewer_questions_than_crowder() {
 #[test]
 fn average_precision_ranks_fusion_probabilities_highly() {
     let (_, prepared) = restaurant();
-    let mut cfg = er_core::FusionConfig::default();
-    cfg.cliquerank.threads = 1;
-    cfg.rounds = 2;
+    let cfg = er_core::FusionConfig {
+        threads: 1,
+        rounds: 2,
+        ..Default::default()
+    };
     let outcome = er_core::Resolver::new(cfg).resolve(&prepared.graph);
     let scored: Vec<ScoredPair> = prepared
         .graph

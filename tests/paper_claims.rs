@@ -6,15 +6,15 @@ use er_baselines::{JaccardScorer, PairScorer, TwIdfScorer};
 use er_core::{run_iter, BoostMode, FusionConfig, IterConfig, Resolver};
 use er_datasets::{generators, PaperConfig, ProductConfig, RestaurantConfig};
 use er_eval::{evaluate_pairs, spearman_rho, term_discriminativeness};
+use er_pool::WorkerPool;
 use unsupervised_er::pipeline;
 
 fn quick(rounds: usize) -> FusionConfig {
-    let mut cfg = FusionConfig {
+    FusionConfig {
         rounds,
+        threads: 1,
         ..Default::default()
-    };
-    cfg.cliquerank.threads = 1;
-    cfg
+    }
 }
 
 /// §I / Table II: on product data, term-weight learning must beat raw
@@ -64,6 +64,7 @@ fn iter_weights_outcorrelate_pagerank() {
         graph,
         &vec![1.0; graph.pair_count()],
         &IterConfig::default(),
+        &WorkerPool::new(1),
     );
     let pagerank = TwIdfScorer::default().term_salience(&prepared.corpus);
     let w_iter: Vec<f64> = idx.iter().map(|&t| iter_out.term_weights[t]).collect();

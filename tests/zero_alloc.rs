@@ -113,7 +113,6 @@ fn component_graph() -> RecordGraph {
 fn config(kernel: Kernel) -> CliqueRankConfig {
     CliqueRankConfig {
         kernel,
-        threads: 1,
         boost: BoostMode::Fixed(0.5),
         ..Default::default()
     }

@@ -1,7 +1,9 @@
 //! Workspace automation, invoked as `cargo xtask <command>`.
 //!
 //! * `analyze` — the static-analysis gate: `rustfmt --check`, `clippy -D
-//!   warnings` over every target, a `--no-default-features` build of
+//!   warnings` over every target (once over the whole workspace, once
+//!   over the default members so the obs-off build is linted too), a
+//!   `--no-default-features` build of
 //!   every non-bench crate (the `obs` feature must compile out cleanly),
 //!   a first-party unsafe audit (no `unsafe` outside `er-pool`; every
 //!   `er-pool` unsafe site carries a `// SAFETY:` comment; every
@@ -74,7 +76,8 @@ const USAGE: &str = "\
 usage: cargo xtask <command>
 
 commands:
-  analyze          rustfmt --check, clippy -D warnings, no-default-features build,
+  analyze          rustfmt --check, clippy -D warnings (workspace, then default
+                   members with obs off), no-default-features build,
                    first-party unsafe audit, er-lint domain rules
   lint             er-lint only: determinism / zero-alloc / dispatch / panic /
                    obs-naming rules against xtask/lint_baseline.json
@@ -131,6 +134,10 @@ fn analyze() -> Result<(), String> {
         "-D",
         "warnings",
     ]))?;
+    // The default members again, without er-bench: its pinned `obs`
+    // feature unifies into every crate under `--workspace`, so only this
+    // pass lints the build where the er-obs stubs are compiled in.
+    run(cargo(&["clippy", "--all-targets", "--", "-D", "warnings"]))?;
     check_no_default_features()?;
     audit_unsafe()?;
     audit_lint_wall()?;
