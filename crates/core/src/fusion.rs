@@ -103,7 +103,7 @@ impl Resolver {
     /// per-phase thread spawns. Every phase is deterministic, so the
     /// outcome is bit-identical at any thread count.
     pub fn resolve(&self, graph: &BipartiteGraph) -> FusionOutcome {
-        self.resolve_impl(graph, None)
+        self.resolve_with_cache(graph, None, None)
     }
 
     /// [`Resolver::resolve`] with externally seeded first-round edge
@@ -119,16 +119,7 @@ impl Resolver {
     /// must lie in `[0, 1]`. Everything downstream is unchanged and the
     /// outcome remains bit-identical at any thread count.
     pub fn resolve_seeded(&self, graph: &BipartiteGraph, seed: &[f64]) -> FusionOutcome {
-        assert_eq!(
-            seed.len(),
-            graph.pair_count(),
-            "one seed weight per candidate pair"
-        );
-        assert!(
-            seed.iter().all(|&s| (0.0..=1.0).contains(&s)),
-            "seed weights must be probabilities"
-        );
-        self.resolve_impl(graph, Some(seed))
+        self.resolve_with_cache(graph, Some(seed), None)
     }
 
     /// [`Resolver::resolve`] with a component-level [`CliqueRankCache`]:
@@ -149,6 +140,15 @@ impl Resolver {
         seed: Option<&[f64]>,
         cache: &mut CliqueRankCache,
     ) -> FusionOutcome {
+        self.resolve_with_cache(graph, seed, Some(cache))
+    }
+
+    fn resolve_with_cache(
+        &self,
+        graph: &BipartiteGraph,
+        seed: Option<&[f64]>,
+        mut cache: Option<&mut CliqueRankCache>,
+    ) -> FusionOutcome {
         if let Some(s) = seed {
             assert_eq!(
                 s.len(),
@@ -160,19 +160,6 @@ impl Resolver {
                 "seed weights must be probabilities"
             );
         }
-        self.resolve_with_cache(graph, seed, Some(cache))
-    }
-
-    fn resolve_impl(&self, graph: &BipartiteGraph, seed: Option<&[f64]>) -> FusionOutcome {
-        self.resolve_with_cache(graph, seed, None)
-    }
-
-    fn resolve_with_cache(
-        &self,
-        graph: &BipartiteGraph,
-        seed: Option<&[f64]>,
-        mut cache: Option<&mut CliqueRankCache>,
-    ) -> FusionOutcome {
         let cfg = &self.config;
         assert!(cfg.rounds >= 1, "need at least one fusion round");
         assert!((0.0..=1.0).contains(&cfg.eta), "eta must be a probability");

@@ -10,8 +10,6 @@
 //!   runs per component because random walks cannot cross components.
 //! * [`bipartite`] — the term ↔ record-pair bipartite graph of §V-B
 //!   (Figure 3) that ITER iterates on.
-//! * [`appendable`] — append-friendly CSR rows with staged compaction,
-//!   the posting-list substrate of the streaming ingest path.
 //! * [`record_graph`] — the weighted record graph `Gr` of §VI-A that
 //!   CliqueRank and RSS walk on.
 //! * [`mod@pagerank`] — damped PageRank (Eq. 3) for the TW-IDF baseline and
@@ -26,7 +24,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod appendable;
 pub mod bipartite;
 pub mod components;
 pub mod cooccur;
@@ -37,7 +34,6 @@ pub mod record_graph;
 pub mod simrank;
 pub mod union_find;
 
-pub use appendable::AppendableCsr;
 pub use bipartite::{BipartiteGraph, BipartiteGraphBuilder, PairNode};
 pub use components::{components, ComponentLabels};
 pub use cooccur::cooccurrence_graph;

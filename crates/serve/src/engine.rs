@@ -44,9 +44,6 @@ pub struct ServeConfig {
     /// Frequent-term cap forwarded to
     /// [`StreamingCorpus::materialize`].
     pub max_df_fraction: f64,
-    /// Posting-list spill fraction that triggers staged compaction
-    /// ([`StreamingCorpus::with_compaction_threshold`]).
-    pub compaction_threshold: f64,
     /// CliqueRank cache entries untouched for more than this many
     /// resolve epochs are evicted ([`CliqueRankCache::evict_stale`]).
     pub cache_max_age: u64,
@@ -58,7 +55,6 @@ impl Default for ServeConfig {
             fusion: FusionConfig::default(),
             strategy: BlockingStrategy::TokenGraph,
             max_df_fraction: DEFAULT_MAX_DF_FRACTION,
-            compaction_threshold: er_text::DEFAULT_COMPACTION_THRESHOLD,
             cache_max_age: DEFAULT_CACHE_MAX_AGE,
         }
     }
@@ -85,11 +81,10 @@ impl ServeEngine {
     /// no records.
     pub fn new(config: ServeConfig) -> Self {
         let pool = WorkerPool::with_policy(config.fusion.threads, config.fusion.dispatch);
-        let corpus = StreamingCorpus::with_compaction_threshold(config.compaction_threshold);
         Self {
             config,
             pool,
-            corpus,
+            corpus: StreamingCorpus::new(),
             signatures: SignatureCache::new(),
             cache: CliqueRankCache::new(),
             shared: Arc::new(SharedState::new()),

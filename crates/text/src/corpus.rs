@@ -24,20 +24,49 @@ pub struct Corpus {
 }
 
 impl Corpus {
-    /// Assembles a corpus from already-filtered parts — the incremental
-    /// materialization path ([`crate::streaming::StreamingCorpus`]).
-    /// Callers guarantee the [`CorpusBuilder::build`] invariants: term
-    /// sets sorted + deduplicated, postings sorted ascending, filtered
-    /// terms with empty postings.
-    pub(crate) fn from_parts(
+    /// Applies the frequent-term filter to interned records and indexes
+    /// them — the one constructor behind [`CorpusBuilder::build`] and
+    /// [`crate::StreamingCorpus::materialize`].
+    ///
+    /// `tokens` holds each record's unfiltered token list and `vocab` the
+    /// document frequencies they were interned with. Terms occurring in
+    /// more than `max(⌊f·n⌋, 2)` of the `n` records are removed when a
+    /// `max_df_fraction` `f` is given; the clamp to 2 keeps tiny corpora
+    /// from losing every term, since a term must appear in two records
+    /// to form any candidate pair.
+    pub(crate) fn from_interned(
         vocab: Vocabulary,
-        tokens: Vec<Vec<TermId>>,
-        term_sets: Vec<Vec<TermId>>,
-        inverted: Vec<Vec<u32>>,
-        removed_terms: Vec<TermId>,
+        mut tokens: Vec<Vec<TermId>>,
+        max_df_fraction: Option<f64>,
     ) -> Self {
-        debug_assert_eq!(tokens.len(), term_sets.len());
-        debug_assert_eq!(inverted.len(), vocab.len());
+        let n = tokens.len();
+        let cap = max_df_fraction.map_or(u32::MAX, |f| ((f * n as f64).floor() as u32).max(2));
+
+        let mut removed_terms = Vec::new();
+        let keep: Vec<bool> = (0..vocab.len())
+            .map(|i| {
+                let id = TermId(i as u32);
+                let ok = vocab.doc_freq(id) <= cap;
+                if !ok {
+                    removed_terms.push(id);
+                }
+                ok
+            })
+            .collect();
+
+        let mut term_sets: Vec<Vec<TermId>> = Vec::with_capacity(n);
+        let mut inverted: Vec<Vec<u32>> = vec![Vec::new(); vocab.len()];
+        for (r, toks) in tokens.iter_mut().enumerate() {
+            toks.retain(|t| keep[t.index()]);
+            let mut set = toks.clone();
+            set.sort_unstable();
+            set.dedup();
+            for &t in &set {
+                inverted[t.index()].push(r as u32);
+            }
+            term_sets.push(set);
+        }
+
         Self {
             vocab,
             tokens,
@@ -156,7 +185,6 @@ pub fn count_intersect_sorted(a: &[TermId], b: &[TermId]) -> usize {
 pub struct CorpusBuilder {
     texts: Vec<String>,
     max_df_fraction: Option<f64>,
-    max_df_absolute: Option<u32>,
 }
 
 impl CorpusBuilder {
@@ -193,65 +221,15 @@ impl CorpusBuilder {
         self
     }
 
-    /// Removes terms occurring in more than `count` records. When both an
-    /// absolute and a fractional cap are set, the stricter one wins.
-    pub fn max_df_absolute(mut self, count: u32) -> Self {
-        self.max_df_absolute = Some(count);
-        self
-    }
-
     /// Tokenizes, interns, filters and indexes all records.
     pub fn build(self) -> Corpus {
         let mut vocab = Vocabulary::new();
-        let mut tokens: Vec<Vec<TermId>> = Vec::with_capacity(self.texts.len());
-        for text in &self.texts {
-            tokens.push(vocab.intern_record(text));
-        }
-        let n = tokens.len();
-
-        let mut cap = u32::MAX;
-        if let Some(f) = self.max_df_fraction {
-            // Clamp the fraction-derived cap to at least 2: a term must
-            // appear in two records to form any candidate pair, so caps
-            // below 2 would silently empty tiny corpora.
-            cap = cap.min(((f * n as f64).floor() as u32).max(2));
-        }
-        if let Some(c) = self.max_df_absolute {
-            cap = cap.min(c);
-        }
-
-        let mut removed_terms = Vec::new();
-        let keep: Vec<bool> = (0..vocab.len())
-            .map(|i| {
-                let id = TermId(i as u32);
-                let ok = vocab.doc_freq(id) <= cap;
-                if !ok {
-                    removed_terms.push(id);
-                }
-                ok
-            })
+        let tokens: Vec<Vec<TermId>> = self
+            .texts
+            .iter()
+            .map(|text| vocab.intern_record(text))
             .collect();
-
-        let mut term_sets: Vec<Vec<TermId>> = Vec::with_capacity(n);
-        let mut inverted: Vec<Vec<u32>> = vec![Vec::new(); vocab.len()];
-        for (r, toks) in tokens.iter_mut().enumerate() {
-            toks.retain(|t| keep[t.index()]);
-            let mut set = toks.clone();
-            set.sort_unstable();
-            set.dedup();
-            for &t in &set {
-                inverted[t.index()].push(r as u32);
-            }
-            term_sets.push(set);
-        }
-
-        Corpus {
-            vocab,
-            tokens,
-            term_sets,
-            inverted,
-            removed_terms,
-        }
+        Corpus::from_interned(vocab, tokens, self.max_df_fraction)
     }
 }
 
@@ -304,18 +282,6 @@ mod tests {
         assert_eq!(c.removed_terms(), &[common]);
         assert!(c.term_set(0).iter().all(|&t| t != common));
         assert_eq!(c.filtered_doc_freq(common), 0);
-    }
-
-    #[test]
-    fn absolute_cap_composes_with_fraction() {
-        let c = CorpusBuilder::new()
-            .extend_texts(["x a", "x b", "x c", "y d", "y e"])
-            .max_df_absolute(2)
-            .build();
-        let x = c.vocab().get("x").unwrap();
-        let y = c.vocab().get("y").unwrap();
-        assert!(c.postings(x).is_empty());
-        assert_eq!(c.postings(y).len(), 2);
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!   ([`BlockingStrategy::candidate_graph`]) and ITER's
 //!   [`seed_similarities`].
 //! * [`lsh`] — MinHash signatures + banding LSH bucketing for
-//!   million-record candidate generation.
+//!   million-record candidate generation, plus the [`SignatureCache`]
+//!   that keeps MinHash band keys warm across resolves.
 //! * [`metablocking`] — block purging / filtering / edge-weight pruning
 //!   over the block graph.
 //! * [`streaming`] — an append-only [`StreamingCorpus`] for the serving
 //!   engine's ingest path, materializing batch-identical [`Corpus`]
-//!   snapshots on demand, plus the [`SignatureCache`] that keeps MinHash
-//!   band keys warm across resolves.
+//!   snapshots on demand.
 //! * [`metrics`] — the string-similarity metrics used by the paper's
 //!   string-distance baselines (Jaccard, TF-IDF cosine) and by the
 //!   supervised baselines' feature extractors (edit distance, Jaro,
@@ -77,5 +77,5 @@ pub use metrics::{
 };
 pub use normalize::normalize;
 pub use simeng::{BatchScorer, SimKernel, SimScratch, StrTape};
-pub use streaming::{StreamingCorpus, DEFAULT_COMPACTION_THRESHOLD};
+pub use streaming::StreamingCorpus;
 pub use tokenize::{tokenize, tokenize_normalized, TermId, Vocabulary};

@@ -3,74 +3,37 @@
 //! [`crate::CorpusBuilder`] is a batch construction: it sees every text
 //! up front, computes the frequent-term cap once and emits an immutable
 //! [`Corpus`]. A serving engine ingests records one at a time, so this
-//! module keeps the *growing* state — the interning vocabulary, the
-//! unfiltered token lists and term sets, and the unfiltered posting
-//! lists in an [`AppendableCsr`] (append-only per term, staged
-//! compaction) — and **materializes** a `Corpus` on demand.
+//! module keeps only what interning must carry across appends — the
+//! [`Vocabulary`] (term ids and document frequencies) and each record's
+//! unfiltered token list — and **materializes** a `Corpus` on demand.
 //!
 //! The frequent-term cap is `max(⌊f·n⌋, 2)` and therefore moves with
 //! the record count `n`: a term can be filtered at one corpus size and
-//! admitted at another. Materialization re-derives the keep set from
-//! the live document frequencies, which makes the result **identical**
-//! to what `CorpusBuilder` would build from the same texts in the same
-//! order (pinned by the tests below and `tests/prop_streaming.rs`) —
-//! the property the serving engine's incremental ≡ batch bit-identity
-//! guarantee rests on. Interning is stable under appends, so term ids
-//! never shift; only the keep set does.
-
-use er_graph::AppendableCsr;
+//! admitted at another. Interning is stable under appends, so the same
+//! texts interned in the same order give the same vocabulary and token
+//! lists as the batch builder's, and materialization runs the builder's
+//! own filter (`Corpus::from_interned`) over them. The result is
+//! therefore **identical** to what `CorpusBuilder` would build from the
+//! same texts — the property the serving engine's incremental ≡ batch
+//! bit-identity guarantee rests on (pinned by the tests below and
+//! `tests/prop_streaming.rs`).
 
 use crate::corpus::Corpus;
 use crate::tokenize::{TermId, Vocabulary};
 
-/// Default spill-fraction threshold above which posting lists are
-/// compacted back into one contiguous arena.
-pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.25;
-
 /// An append-only corpus accumulator: ingest texts, materialize a
 /// filtered [`Corpus`] snapshot whenever a resolve needs one.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StreamingCorpus {
     vocab: Vocabulary,
     /// Unfiltered token list per record (duplicates, original order).
     tokens: Vec<Vec<TermId>>,
-    /// Unfiltered sorted + deduplicated term set per record.
-    term_sets: Vec<Vec<TermId>>,
-    /// Unfiltered postings: term row → ascending record ids. Appends
-    /// spill per row; crossing `compaction_threshold` triggers a staged
-    /// compaction back into the contiguous base arena.
-    postings: AppendableCsr,
-    compaction_threshold: f64,
-    compactions: u64,
-}
-
-impl Default for StreamingCorpus {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl StreamingCorpus {
-    /// An empty accumulator with the default compaction policy.
+    /// An empty accumulator.
     pub fn new() -> Self {
-        Self::with_compaction_threshold(DEFAULT_COMPACTION_THRESHOLD)
-    }
-
-    /// An empty accumulator compacting postings when at least
-    /// `threshold` of their values live in spill vectors.
-    pub fn with_compaction_threshold(threshold: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&threshold),
-            "compaction threshold must be in [0, 1], got {threshold}"
-        );
-        Self {
-            vocab: Vocabulary::new(),
-            tokens: Vec::new(),
-            term_sets: Vec::new(),
-            postings: AppendableCsr::new(),
-            compaction_threshold: threshold,
-            compactions: 0,
-        }
+        Self::default()
     }
 
     /// Number of ingested records.
@@ -88,47 +51,11 @@ impl StreamingCorpus {
         &self.vocab
     }
 
-    /// The record's unfiltered sorted term set.
-    pub fn term_set(&self, r: usize) -> &[TermId] {
-        &self.term_sets[r]
-    }
-
-    /// Fraction of posting values currently living in spill vectors.
-    pub fn spill_fraction(&self) -> f64 {
-        self.postings.spill_fraction()
-    }
-
-    /// Staged compactions run so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Tokenizes, interns and indexes one record, returning its id.
+    /// Tokenizes and interns one record, returning its id.
     pub fn push_record(&mut self, text: &str) -> u32 {
         let r = self.tokens.len() as u32;
-        let toks = self.vocab.intern_record(text);
-        let mut set = toks.clone();
-        set.sort_unstable();
-        set.dedup();
-        self.postings.ensure_rows(self.vocab.len());
-        for &t in &set {
-            self.postings.append(t.index(), r);
-        }
-        self.tokens.push(toks);
-        self.term_sets.push(set);
-        if self.postings.maybe_compact(self.compaction_threshold) {
-            self.compactions += 1;
-            er_obs::counter_add("streaming.postings_compactions", 1);
-        }
-        er_obs::gauge_set("streaming.postings_spill_fraction", self.spill_fraction());
+        self.tokens.push(self.vocab.intern_record(text));
         r
-    }
-
-    /// The frequent-term cap [`crate::CorpusBuilder::max_df_fraction`]
-    /// resolves to at the current corpus size (clamped to ≥ 2, exactly
-    /// like the batch builder).
-    pub fn df_cap(&self, max_df_fraction: f64) -> u32 {
-        ((max_df_fraction * self.len() as f64).floor() as u32).max(2)
     }
 
     /// Materializes the filtered [`Corpus`] the batch
@@ -141,40 +68,10 @@ impl StreamingCorpus {
             "max_df_fraction must be in [0, 1], got {max_df_fraction}"
         );
         let _span = er_obs::span("streaming.materialize");
-        let cap = self.df_cap(max_df_fraction);
-        let mut removed_terms = Vec::new();
-        let keep: Vec<bool> = (0..self.vocab.len())
-            .map(|i| {
-                let id = TermId(i as u32);
-                let ok = self.vocab.doc_freq(id) <= cap;
-                if !ok {
-                    removed_terms.push(id);
-                }
-                ok
-            })
-            .collect();
-        let filter = |list: &[TermId]| -> Vec<TermId> {
-            list.iter().copied().filter(|t| keep[t.index()]).collect()
-        };
-        let tokens: Vec<Vec<TermId>> = self.tokens.iter().map(|t| filter(t)).collect();
-        let term_sets: Vec<Vec<TermId>> = self.term_sets.iter().map(|s| filter(s)).collect();
-        // A kept term's postings are exactly its unfiltered posting row:
-        // ascending record ids of the records whose term set contains it.
-        let inverted: Vec<Vec<u32>> = (0..self.vocab.len())
-            .map(|t| {
-                if keep[t] {
-                    self.postings.row_to_vec(t)
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
-        Corpus::from_parts(
+        Corpus::from_interned(
             self.vocab.clone(),
-            tokens,
-            term_sets,
-            inverted,
-            removed_terms,
+            self.tokens.clone(),
+            Some(max_df_fraction),
         )
     }
 }
@@ -245,46 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn compaction_threshold_zero_compacts_every_push() {
-        let mut s = StreamingCorpus::with_compaction_threshold(0.0);
-        for t in texts() {
-            s.push_record(t);
-        }
-        assert_eq!(s.compactions(), texts().len() as u64);
-        assert_eq!(s.spill_fraction(), 0.0);
-        let batch = CorpusBuilder::new()
-            .extend_texts(texts())
-            .max_df_fraction(0.5)
-            .build();
-        assert_same(&s.materialize(0.5), &batch);
-    }
-
-    #[test]
-    fn compaction_threshold_one_never_compacts() {
-        let mut s = StreamingCorpus::with_compaction_threshold(1.0);
-        for t in texts() {
-            s.push_record(t);
-        }
-        assert_eq!(s.compactions(), 0);
-        assert!(s.spill_fraction() > 0.99, "{}", s.spill_fraction());
-        let batch = CorpusBuilder::new()
-            .extend_texts(texts())
-            .max_df_fraction(0.5)
-            .build();
-        assert_same(&s.materialize(0.5), &batch);
-    }
-
-    #[test]
     fn empty_streaming_corpus_materializes_empty() {
         let s = StreamingCorpus::new();
         let c = s.materialize(0.5);
         assert!(c.is_empty());
         assert_eq!(c.vocab_len(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "compaction threshold")]
-    fn out_of_range_threshold_rejected() {
-        StreamingCorpus::with_compaction_threshold(1.5);
     }
 }

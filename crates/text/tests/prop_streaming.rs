@@ -14,7 +14,29 @@ use proptest::prelude::*;
 fn texts() -> impl Strategy<Value = Vec<String>> {
     // A small alphabet keeps document frequencies high enough for the
     // moving df cap to actually flip terms in and out across prefixes.
-    proptest::collection::vec("[a-e]( [a-e]){0,5}", 1..20)
+    // Some entries become degenerate records instead: empty,
+    // whitespace-only and punctuation-only texts normalize to no
+    // tokens, and a run of up to 12 copies of one text pushes its terms
+    // past the df cap.
+    let entry = (
+        0u8..8,
+        "[a-e]( [a-e]){0,5}",
+        "[ \t]{1,3}",
+        "[.,;:!?-]{1,4}",
+        2usize..=12,
+    );
+    proptest::collection::vec(entry, 1..20).prop_map(|entries| {
+        entries
+            .into_iter()
+            .flat_map(|(kind, text, blank, punct, run)| match kind {
+                0 => vec![String::new()],
+                1 => vec![blank],
+                2 => vec![punct],
+                3 => vec![text; run],
+                _ => vec![text],
+            })
+            .collect()
+    })
 }
 
 /// Field-by-field equality through the public accessors.

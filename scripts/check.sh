@@ -2,8 +2,9 @@
 # Lint gate: the static-analysis suite (rustfmt, clippy -D warnings,
 # no-default-features build, first-party unsafe audit, er-lint domain
 # rules — see xtask/src/main.rs and xtask/src/lint/), then the full
-# test suite. CI runs this exact script (.github/workflows/ci.yml), so
-# a clean local run means a clean CI run.
+# test suite and the e2e benchmark harness's tests. CI runs this exact
+# script (.github/workflows/ci.yml), so a clean local run means a clean
+# CI run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,5 +21,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet \
 
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
+
+echo "==> cargo test -p er-bench --example e2e (benchmark harness tests)"
+# `cargo test --workspace` builds examples but runs none of their tests.
+cargo test --release -p er-bench --example e2e --quiet
 
 echo "All checks passed."

@@ -34,7 +34,29 @@ fn record_texts() -> impl Strategy<Value = Vec<String>> {
     // Clustered near-duplicates: a small pool of base tokens yields
     // overlapping term sets, moving df caps, and multi-record
     // components — the regime where incremental caching can go wrong.
-    proptest::collection::vec("[a-h]{2,4}( [a-h]{2,4}){1,5}", 2..14)
+    // Some entries become degenerate records instead: empty,
+    // whitespace-only and punctuation-only texts normalize to no
+    // tokens, and a run of up to 12 copies of one text pushes its terms
+    // past the df cap.
+    let entry = (
+        0u8..8,
+        "[a-h]{2,4}( [a-h]{2,4}){1,5}",
+        "[ \t]{1,3}",
+        "[.,;:!?-]{1,4}",
+        2usize..=12,
+    );
+    proptest::collection::vec(entry, 2..14).prop_map(|entries| {
+        entries
+            .into_iter()
+            .flat_map(|(kind, text, blank, punct, run)| match kind {
+                0 => vec![String::new()],
+                1 => vec![blank],
+                2 => vec![punct],
+                3 => vec![text; run],
+                _ => vec![text],
+            })
+            .collect()
+    })
 }
 
 proptest! {
