@@ -142,29 +142,6 @@ pub fn candidate_pairs(
         .to_vec()
 }
 
-/// [`candidate_pairs`] under an explicit [`BlockingStrategy`]: the
-/// strategy generates the pair universe (token graph, capped token
-/// blocking, sorted-neighborhood, LSH or meta-blocking) and the
-/// optional policy filter restricts it. With
-/// [`BlockingStrategy::TokenGraph`] this is exactly
-/// [`candidate_pairs`].
-pub fn candidate_pairs_with(
-    corpus: &Corpus,
-    strategy: &BlockingStrategy,
-    pair_filter: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
-    pool: &WorkerPool,
-) -> Vec<PairNode> {
-    if matches!(strategy, BlockingStrategy::TokenGraph) {
-        return candidate_pairs(corpus, pair_filter);
-    }
-    strategy
-        .candidate_pairs(corpus, pool)
-        .into_iter()
-        .filter(|&(a, b)| pair_filter.is_none_or(|f| f(a, b)))
-        .map(|(a, b)| PairNode::new(a, b))
-        .collect()
-}
-
 /// Runs a scorer and sweeps the optimal threshold (1 000 quanta, the
 /// paper's protocol).
 pub fn evaluate_scorer(

@@ -3,10 +3,12 @@
 //!
 //! Runs capped token blocking, banding LSH and the meta-blocking
 //! pipeline over a ladder of census sizes (100 k → 1 M records at
-//! `ER_SCALE=paper`) and records, per run: wall time, candidate count,
-//! candidates-per-record, reduction ratio and pair completeness. The
-//! quality metrics land in the BenchFile schema as first-class
-//! `reduction_ratio` / `pair_completeness` run fields, so
+//! `ER_SCALE=paper`) and records, per run: the wall time of what every
+//! resolve pays — candidate generation plus the term–pair graph build
+//! (`candidate_graph`) — then, from an untimed `candidate_pairs` call,
+//! candidate count, candidates-per-record, reduction ratio and pair
+//! completeness. The quality metrics land in the BenchFile schema as
+//! first-class `reduction_ratio` / `pair_completeness` run fields, so
 //! `cargo xtask bench-diff` tracks them release to release
 //! (`BENCH_blocking.json`).
 //!
@@ -111,9 +113,11 @@ fn main() {
         for (mode, strategy) in strategies() {
             er_obs::reset();
             let t = Instant::now();
-            let pairs = strategy.candidate_pairs(&corpus, &pool);
+            let graph = strategy.candidate_graph(&corpus, &pool, None, None);
             let elapsed = t.elapsed();
             let report = er_obs::snapshot();
+            drop(graph);
+            let pairs = strategy.candidate_pairs(&corpus, &pool);
             let dispatch_mode = if report.counter("pool.dispatch.parallel") > 0 {
                 Some("pooled".to_owned())
             } else if report.counter("pool.dispatch.serial_inline") > 0 {

@@ -6,15 +6,16 @@
 //! sharing no term are excluded entirely (the paper treats them as
 //! non-matching by construction).
 //!
-//! The builder consumes postings lists (term → sorted records) — exactly
-//! what `er_text::Corpus` produces — and enumerates, per term, all record
-//! pairs in its postings that the candidate policy accepts (e.g. only
-//! cross-source pairs for the two-source Product dataset).
-//!
-//! Construction is sort-based rather than hash-based: terms enumerate
-//! `(term, pair)` edges in term order, pair ids come from a sort + dedup
-//! of the pair keys, and both CSR sides fill in one term-major pass. The
-//! result is canonical because ids come from the sorted pair universe.
+//! [`BipartiteGraph::from_candidates`] is the one assembly: it takes a
+//! sorted candidate list (whatever blocking and the candidate policy kept)
+//! and each record's sorted term set, and merges the two term sets of
+//! every candidate. Its cost is the candidates' term-set lengths, not the
+//! Σ C(df, 2) postings pairs. Pair ids are positions among the candidates
+//! that share a term, so the pair universe is sorted and
+//! binary-searchable; the term side is a counting-sort transpose of the
+//! pair rows. [`BipartiteGraphBuilder`] is a postings-based front end for
+//! tests and examples: it enumerates every postings pair as the candidate
+//! list and calls the same assembly.
 
 use crate::invariant::{check_offsets, debug_validate, InvariantViolation};
 
@@ -110,6 +111,76 @@ impl BipartiteGraph {
         self.pairs.binary_search(&key).ok().map(|i| i as u32)
     }
 
+    /// Assembles the graph over a candidate list — the one function that
+    /// assigns pair ids and fills both CSR sides.
+    ///
+    /// `candidates` must be strictly ascending with `a < b < n_records`,
+    /// and `terms_of(r)` must return record `r`'s sorted, deduplicated
+    /// term ids (each below `n_terms`). Every candidate's two term rows
+    /// are merged; a candidate sharing no term gets no pair node, and
+    /// pair ids are positions among the survivors, so `pairs` stays
+    /// sorted. The term side is a counting-sort transpose of the pair
+    /// rows and `pt` is each term's degree. The cost is the candidates'
+    /// term-set lengths plus the edges; every vector is sized exactly.
+    pub fn from_candidates<'t, T, F>(
+        n_records: usize,
+        n_terms: usize,
+        candidates: &[(u32, u32)],
+        terms_of: F,
+    ) -> Self
+    where
+        T: Copy + Ord + Into<u32> + 't,
+        F: Fn(u32) -> &'t [T],
+    {
+        let mut pairs = Vec::with_capacity(candidates.len());
+        let mut pair_offsets = Vec::with_capacity(candidates.len() + 1);
+        let mut pair_terms: Vec<u32> = Vec::with_capacity(candidates.len());
+        pair_offsets.push(0);
+        for &(a, b) in candidates {
+            let (x, y) = (terms_of(a), terms_of(b));
+            let (mut i, mut j) = (0, 0);
+            let before = pair_terms.len();
+            while i < x.len() && j < y.len() {
+                match x[i].cmp(&y[j]) {
+                    std::cmp::Ordering::Less => i += 1,
+                    std::cmp::Ordering::Greater => j += 1,
+                    std::cmp::Ordering::Equal => {
+                        pair_terms.push(x[i].into());
+                        i += 1;
+                        j += 1;
+                    }
+                }
+            }
+            if pair_terms.len() > before {
+                pairs.push(PairNode { a, b });
+                pair_offsets.push(pair_terms.len());
+            }
+        }
+        pairs.shrink_to_fit();
+        pair_offsets.shrink_to_fit();
+        pair_terms.shrink_to_fit();
+
+        // Pairs are visited in id order, so every term row is ascending.
+        let pair_rows = pair_offsets.windows(2).map(|w| &pair_terms[w[0]..w[1]]);
+        let (term_offsets, term_pairs) = transpose(pair_rows, n_terms);
+        let pt = term_offsets
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as u32)
+            .collect();
+        let graph = Self {
+            n_records,
+            n_terms,
+            pairs,
+            pair_offsets,
+            pair_terms,
+            term_offsets,
+            term_pairs,
+            pt,
+        };
+        debug_validate("BipartiteGraph::from_candidates", || graph.validate());
+        graph
+    }
+
     /// Checks every structural invariant of the dual-CSR form:
     ///
     /// * `pairs` is strictly ascending with `a < b < n_records` — the
@@ -117,7 +188,8 @@ impl BipartiteGraph {
     /// * both offset arrays are monotone from 0 and consistent with one
     ///   shared edge count (each term–pair edge appears once per side);
     /// * adjacency rows are strictly ascending and in bounds on both
-    ///   sides (a consequence of the term-major construction);
+    ///   sides (candidate-order assembly plus the counting-sort
+    ///   transpose guarantee it);
     /// * the two sides agree edge-for-edge: `p ∈ pairs_of_term(t)` iff
     ///   `t ∈ terms_of_pair(p)`;
     /// * `pt[t]` equals term `t`'s degree.
@@ -207,22 +279,13 @@ impl BipartiteGraph {
     }
 }
 
-/// Builder for [`BipartiteGraph`].
+/// Builder for [`BipartiteGraph`] from postings lists (term → sorted
+/// records): every pair of records sharing a term becomes a candidate.
+#[derive(Debug)]
 pub struct BipartiteGraphBuilder<'a> {
     n_records: usize,
     n_terms: usize,
     postings: Vec<&'a [u32]>,
-    pair_filter: Option<Box<dyn Fn(u32, u32) -> bool + 'a>>,
-}
-
-impl std::fmt::Debug for BipartiteGraphBuilder<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BipartiteGraphBuilder")
-            .field("n_records", &self.n_records)
-            .field("n_terms", &self.n_terms)
-            .field("has_pair_filter", &self.pair_filter.is_some())
-            .finish_non_exhaustive()
-    }
 }
 
 impl<'a> BipartiteGraphBuilder<'a> {
@@ -232,7 +295,6 @@ impl<'a> BipartiteGraphBuilder<'a> {
             n_records,
             n_terms,
             postings: vec![&[]; n_terms],
-            pair_filter: None,
         }
     }
 
@@ -246,93 +308,49 @@ impl<'a> BipartiteGraphBuilder<'a> {
         self
     }
 
-    /// Restricts which record pairs become pair nodes (candidate policy).
-    /// For the two-source Product dataset this is "records from different
-    /// sources only".
-    pub fn pair_filter(mut self, f: impl Fn(u32, u32) -> bool + 'a) -> Self {
-        self.pair_filter = Some(Box::new(f));
-        self
-    }
-
-    /// Enumerates pair nodes and builds the dual-CSR structure.
+    /// Builds the graph through [`BipartiteGraph::from_candidates`]: the
+    /// candidates are every postings pair, sorted and deduplicated, and
+    /// each record's term row is read off the postings.
     pub fn build(self) -> BipartiteGraph {
-        // Phase 1: raw (term, pair) edges the candidate policy accepts,
-        // term-major.
-        let mut edges: Vec<(u32, PairNode)> = Vec::new();
-        for (t, recs) in self.postings.iter().enumerate() {
-            for (i, &ra) in recs.iter().enumerate() {
-                for &rb in &recs[i + 1..] {
-                    if let Some(f) = &self.pair_filter {
-                        if !f(ra, rb) {
-                            continue;
-                        }
-                    }
-                    edges.push((t as u32, PairNode::new(ra, rb)));
-                }
+        let (row_offsets, row_terms) = transpose(self.postings.iter().copied(), self.n_records);
+        let mut candidates: Vec<(u32, u32)> = Vec::new();
+        for recs in &self.postings {
+            for (i, &a) in recs.iter().enumerate() {
+                candidates.extend(recs[i + 1..].iter().map(|&b| (a, b)));
             }
         }
-
-        // Phase 2: canonical pair universe — sorted, deduplicated pair
-        // keys. Ids are positions in this sorted list, so `pairs` is
-        // binary-searchable and iteration order is independent of the
-        // postings order.
-        let mut sorted_pairs: Vec<PairNode> = edges.iter().map(|&(_, p)| p).collect();
-        sorted_pairs.sort_unstable();
-        sorted_pairs.dedup();
-
-        // Phase 3: resolve each edge's pair id.
-        let edges: Vec<(u32, u32)> = edges
-            .iter()
-            .map(|&(t, p)| {
-                // er-lint: allow(panic) -- sorted_pairs was built from these same edges
-                let id = sorted_pairs.binary_search(&p).expect("id from universe");
-                (t, id as u32)
-            })
-            .collect();
-
-        // CSR for term -> pairs.
-        let mut term_deg = vec![0usize; self.n_terms];
-        let mut pair_deg = vec![0usize; sorted_pairs.len()];
-        for &(t, p) in &edges {
-            term_deg[t as usize] += 1;
-            pair_deg[p as usize] += 1;
-        }
-        let prefix = |deg: &[usize]| {
-            let mut off = Vec::with_capacity(deg.len() + 1);
-            let mut total = 0usize;
-            off.push(0usize);
-            for &d in deg {
-                total += d;
-                off.push(total);
-            }
-            off
-        };
-        let term_offsets = prefix(&term_deg);
-        let pair_offsets = prefix(&pair_deg);
-        let mut term_pairs = vec![0u32; edges.len()];
-        let mut pair_terms = vec![0u32; edges.len()];
-        let mut tcur = term_offsets.clone();
-        let mut pcur = pair_offsets.clone();
-        for &(t, p) in &edges {
-            term_pairs[tcur[t as usize]] = p;
-            tcur[t as usize] += 1;
-            pair_terms[pcur[p as usize]] = t;
-            pcur[p as usize] += 1;
-        }
-        let pt = term_deg.iter().map(|&d| d as u32).collect();
-        let graph = BipartiteGraph {
-            n_records: self.n_records,
-            n_terms: self.n_terms,
-            pairs: sorted_pairs,
-            pair_offsets,
-            pair_terms,
-            term_offsets,
-            term_pairs,
-            pt,
-        };
-        debug_validate("BipartiteGraphBuilder::build", || graph.validate());
-        graph
+        candidates.sort_unstable();
+        candidates.dedup();
+        BipartiteGraph::from_candidates(self.n_records, self.n_terms, &candidates, |r| {
+            &row_terms[row_offsets[r as usize]..row_offsets[r as usize + 1]]
+        })
     }
+}
+
+/// Counting-sort transpose of an adjacency given as rows: row `c` of the
+/// result lists, ascending, the ids of the input rows containing `c`.
+/// Returns the `n_cols + 1` offsets and the flat entries, both sized
+/// exactly.
+fn transpose<'r>(
+    rows: impl Iterator<Item = &'r [u32]> + Clone,
+    n_cols: usize,
+) -> (Vec<usize>, Vec<u32>) {
+    let mut offsets = vec![0usize; n_cols + 1];
+    for &c in rows.clone().flatten() {
+        offsets[c as usize + 1] += 1;
+    }
+    for c in 0..n_cols {
+        offsets[c + 1] += offsets[c];
+    }
+    let mut cursor = offsets[..n_cols].to_vec();
+    let mut entries = vec![0u32; offsets[n_cols]];
+    for (i, row) in rows.enumerate() {
+        for &c in row {
+            entries[cursor[c as usize]] = i as u32;
+            cursor[c as usize] += 1;
+        }
+    }
+    (offsets, entries)
 }
 
 #[cfg(test)]
@@ -392,17 +410,37 @@ mod tests {
     }
 
     #[test]
-    fn pair_filter_restricts_candidates() {
-        // Cross-source policy: records 0,1 in source A; 2,3 in source B.
-        let source = [0u8, 0, 1, 1];
-        let g = BipartiteGraphBuilder::new(4, 1)
-            .postings(0, &[0, 1, 2, 3])
-            .pair_filter(move |a, b| source[a as usize] != source[b as usize])
-            .build();
-        assert_eq!(g.pair_count(), 4); // 0-2, 0-3, 1-2, 1-3
+    fn from_candidates_drops_pairs_sharing_no_term() {
+        // Same records as `sample`; (0, 2) and (2, 3) share no term.
+        let rows: [&[u32]; 4] = [&[0, 1], &[0, 1, 2], &[2, 3], &[4]];
+        let g = BipartiteGraph::from_candidates(4, 5, &[(0, 1), (0, 2), (1, 2), (2, 3)], |r| {
+            rows[r as usize]
+        });
+        assert_eq!(g.pairs(), &[PairNode::new(0, 1), PairNode::new(1, 2)]);
+        assert_eq!(g.terms_of_pair(0), &[0, 1]);
+        assert_eq!(g.terms_of_pair(1), &[2]);
+        assert_eq!(g.pairs_of_term(2), &[1]);
+        assert_eq!(g.pt(3), 0);
+        let b = sample();
+        assert_eq!(g.pairs(), b.pairs());
+        for t in 0..5 {
+            assert_eq!(g.pairs_of_term(t), b.pairs_of_term(t), "term {t}");
+            assert_eq!(g.pt(t), b.pt(t), "term {t}");
+        }
+    }
+
+    #[test]
+    fn candidate_list_restricts_the_pair_universe() {
+        // Cross-source policy applied to the candidates: records 0,1 in
+        // source A; 2,3 in source B; all four share term 0.
+        let rows: [&[u32]; 4] = [&[0], &[0], &[0], &[0]];
+        let g = BipartiteGraph::from_candidates(4, 1, &[(0, 2), (0, 3), (1, 2), (1, 3)], |r| {
+            rows[r as usize]
+        });
+        assert_eq!(g.pair_count(), 4);
         assert!(g.pair_id(0, 1).is_none());
         assert!(g.pair_id(2, 3).is_none());
-        assert!(g.pair_id(0, 2).is_some());
+        assert_eq!(g.pairs_of_term(0), &[0, 1, 2, 3]);
         assert_eq!(g.pt(0), 4);
     }
 

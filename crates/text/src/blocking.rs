@@ -15,7 +15,7 @@
 //! bipartite graph (§V-B) that every resolve path — the batch pipeline,
 //! the serving engine and the baselines — feeds to fusion.
 
-use er_graph::{BipartiteGraph, BipartiteGraphBuilder};
+use er_graph::BipartiteGraph;
 use er_pool::WorkerPool;
 
 use crate::corpus::Corpus;
@@ -119,24 +119,27 @@ impl BlockingStrategy {
     /// Generates this strategy's sorted, deduplicated `(a, b)` candidate
     /// pairs (`a < b`), bit-identical at any thread count.
     pub fn candidate_pairs(&self, corpus: &Corpus, pool: &WorkerPool) -> Vec<(u32, u32)> {
-        self.candidates(corpus, pool, None)
+        self.candidates(corpus, pool, None, None)
     }
 
-    /// [`Self::candidate_pairs`], with the LSH and meta strategies
-    /// reusing MinHash band keys from `signatures` for records whose term
-    /// set is unchanged since the cache last saw them; the other
-    /// strategies compute no signatures and ignore it. The output is the
-    /// same either way.
+    /// [`Self::candidate_pairs`] restricted to the pairs `keep` accepts,
+    /// with the LSH and meta strategies reusing MinHash band keys from
+    /// `signatures` for records whose term set is unchanged since the
+    /// cache last saw them; the other strategies compute no signatures
+    /// and ignore it. The output is the same either way.
     fn candidates(
         &self,
         corpus: &Corpus,
         pool: &WorkerPool,
         signatures: Option<&mut SignatureCache>,
+        keep: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
     ) -> Vec<(u32, u32)> {
         let _span = er_obs::span("blocking.candidates");
-        match self {
-            Self::TokenGraph => token_blocking(corpus, usize::MAX),
-            Self::Token { max_block_size } => token_blocking(corpus, *max_block_size),
+        let mut pairs = match self {
+            // The token strategies apply `keep` while enumerating, so the
+            // uncapped list never holds a rejected pair.
+            Self::TokenGraph => return token_pairs(corpus, usize::MAX, keep),
+            Self::Token { max_block_size } => return token_pairs(corpus, *max_block_size, keep),
             Self::SortedNeighborhood { window } => sorted_neighborhood(corpus, *window),
             Self::Lsh {
                 params,
@@ -154,18 +157,23 @@ impl BlockingStrategy {
                 }
                 meta_block(&blocks, corpus.len(), &m.config, pool)
             }
+        };
+        if let Some(keep) = keep {
+            pairs.retain(|&(a, b)| keep(a, b));
         }
+        pairs
     }
 
     /// The term ↔ pair bipartite graph of `corpus` over this strategy's
-    /// candidates — the one place a corpus's postings become a graph.
+    /// candidates — the one place a corpus becomes a graph.
     ///
     /// `signatures`, when given, keeps MinHash band keys warm across
     /// calls; the output is the same either way. `keep` is the candidate
-    /// policy (e.g. cross-source only). [`Self::TokenGraph`] enumerates
-    /// the postings with `keep` as the pair filter; every other strategy
-    /// applies `keep` to its sorted candidate list first, so the
-    /// builder's per-pair filter is a single binary search.
+    /// policy (e.g. cross-source only). The strategy's candidate list,
+    /// restricted by `keep`, goes to [`BipartiteGraph::from_candidates`]
+    /// over the corpus's term sets, so the build costs the candidates'
+    /// term-set lengths; a candidate sharing no term (possible under
+    /// sorted-neighborhood, LSH and meta-blocking) gets no pair node.
     pub fn candidate_graph(
         &self,
         corpus: &Corpus,
@@ -173,28 +181,11 @@ impl BlockingStrategy {
         signatures: Option<&mut SignatureCache>,
         keep: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
     ) -> BipartiteGraph {
-        let allowed = match self {
-            Self::TokenGraph => None,
-            _ => Some(self.candidates(corpus, pool, signatures)),
-        };
-        let allowed = allowed.map(|mut pairs| {
-            if let Some(keep) = keep {
-                pairs.retain(|&(a, b)| keep(a, b));
-            }
-            pairs
-        });
+        let candidates = self.candidates(corpus, pool, signatures, keep);
         let _span = er_obs::span("graph.bipartite_build");
-        let mut builder = BipartiteGraphBuilder::new(corpus.len(), corpus.vocab_len());
-        for t in 0..corpus.vocab_len() as u32 {
-            builder = builder.postings(t, corpus.postings(TermId(t)));
-        }
-        if let Some(allowed) = allowed {
-            // Postings are ascending, so every enumerated pair has a < b.
-            builder = builder.pair_filter(move |a, b| allowed.binary_search(&(a, b)).is_ok());
-        } else if let Some(keep) = keep {
-            builder = builder.pair_filter(keep);
-        }
-        builder.build()
+        BipartiteGraph::from_candidates(corpus.len(), corpus.vocab_len(), &candidates, |r| {
+            corpus.term_set(r as usize)
+        })
     }
 
     /// Short scheme name for bench labels and telemetry.
@@ -221,6 +212,16 @@ impl BlockingStrategy {
 ///
 /// Returns sorted, deduplicated `(a, b)` pairs with `a < b`.
 pub fn token_blocking(corpus: &Corpus, max_block_size: usize) -> Vec<(u32, u32)> {
+    token_pairs(corpus, max_block_size, None)
+}
+
+/// [`token_blocking`] keeping only the pairs `keep` accepts, tested as
+/// each pair is enumerated.
+fn token_pairs(
+    corpus: &Corpus,
+    max_block_size: usize,
+    keep: Option<&(dyn Fn(u32, u32) -> bool + Sync)>,
+) -> Vec<(u32, u32)> {
     let _span = er_obs::span("token_blocking");
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     for i in 0..corpus.vocab_len() {
@@ -230,7 +231,9 @@ pub fn token_blocking(corpus: &Corpus, max_block_size: usize) -> Vec<(u32, u32)>
         }
         for (k, &a) in postings.iter().enumerate() {
             for &b in &postings[k + 1..] {
-                pairs.push((a, b));
+                if keep.is_none_or(|keep| keep(a, b)) {
+                    pairs.push((a, b));
+                }
             }
         }
     }
@@ -568,13 +571,13 @@ mod tests {
             let plain = s.candidate_pairs(&c, &pool);
             // Cold cache, then warm cache: both must match the plain path.
             assert_eq!(
-                s.candidates(&c, &pool, Some(&mut cache)),
+                s.candidates(&c, &pool, Some(&mut cache), None),
                 plain,
                 "{} cold",
                 s.name()
             );
             assert_eq!(
-                s.candidates(&c, &pool, Some(&mut cache)),
+                s.candidates(&c, &pool, Some(&mut cache), None),
                 plain,
                 "{} warm",
                 s.name()

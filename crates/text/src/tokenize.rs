@@ -12,8 +12,8 @@ use crate::normalize::normalize_into;
 /// Dense identifier of an interned term. Term ids are assigned in first-seen
 /// order starting from zero, so they can index plain vectors.
 ///
-/// `repr(transparent)`: `&[TermId]` is layout-compatible with `&[u32]`,
-/// which index-based consumers (er-graph) rely on.
+/// `repr(transparent)`: `&[TermId]` is layout-compatible with `&[u32]`.
+/// Index-based consumers (er-graph) take ids through `u32::from`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(transparent)]
 pub struct TermId(pub u32);
@@ -23,6 +23,13 @@ impl TermId {
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+impl From<TermId> for u32 {
+    #[inline]
+    fn from(t: TermId) -> Self {
+        t.0
     }
 }
 
