@@ -7,8 +7,8 @@
 //!
 //! # Recurrences
 //!
-//! [`Recurrence::FirstPassage`] (default) is the exact matrix
-//! transcription of RSS's walk. In RSS, each step toward target `j`
+//! [`Recurrence::FirstPassage`] is the exact matrix transcription of
+//! RSS's walk. In RSS, each step toward target `j`
 //! renormalizes the whole row with the boosted target entry (Eq. 12):
 //!
 //! ```text
@@ -32,10 +32,10 @@
 //! entry is a genuine probability (≤ 1) and `p(ri, rj) =
 //! (G^S[i,j] + G^S[j,i]) / 2` needs no clamping.
 //!
-//! [`Recurrence::PaperEq15`] is the paper's literal formulation
-//! (`M¹ = Mb`, `M^k = Mt × (M^{k−1} ⊙ Mn)`, `p = Σ_k …`), kept for the
-//! fidelity ablation: it boosts only the hop entering the target and uses
-//! the unboosted `Mt` elsewhere, so rows whose edges are all
+//! [`Recurrence::PaperEq15`] (default) is the paper's literal formulation
+//! (`M¹ = Mb`, `M^k = Mt × (M^{k−1} ⊙ Mn)`, `p = Σ_k …`), the one that
+//! reproduces its Table II: it boosts only the hop entering the target
+//! and uses the unboosted `Mt` elsewhere, so rows whose edges are all
 //! weak-but-equal over-count and need clamping (see `ablation_recurrence`
 //! bench and DESIGN.md §3.3).
 //!
@@ -155,10 +155,13 @@ struct ComponentCost {
 /// dispatch decision, the scheduler and [`solve_component`] all read.
 ///
 /// The edgewise sparse recursion is exact whenever the neighbor mask is
-/// on; [`Kernel::Auto`] picks it when its per-step cost (the two-pointer
-/// walk) beats the dense product, which gets an 8× constant-factor
-/// credit for its vectorized inner loop. The work is the chosen kernel's
-/// per-step cost times the step count.
+/// on; [`Kernel::Auto`] picks it when its per-step cost, the column
+/// gather's `Σ_i deg(i)²` multiply-adds, times 16 is below the dense
+/// product's `nc³`. The 16 is the old 8× credit for the dense kernel's
+/// vectorized inner loop against the two-pointer merge's `2 Σ_i deg(i)²`
+/// steps, kept so the cutover does not move: the two kernels agree only
+/// to 1e-10, so moving it would move bits. The work is the chosen
+/// kernel's per-step cost times the step count.
 // er-lint: zero-alloc
 fn component_cost(
     graph: &RecordGraph,
@@ -172,7 +175,7 @@ fn component_cost(
     let sparse = match (config.kernel, sparse_step) {
         (_, None) => false,
         (Kernel::Sparse, Some(_)) => true,
-        (_, Some(step)) => step.saturating_mul(8) < dense,
+        (_, Some(step)) => step.saturating_mul(16) < dense,
     };
     let per_step = match sparse_step {
         Some(step) if sparse => step,
@@ -467,7 +470,7 @@ fn solve_component(
 
 /// The `(1 + b)^α` bonus factors the boosted matrices average over,
 /// written into a reusable buffer.
-fn bonus_samples_into(config: &CliqueRankConfig, out: &mut Vec<f64>) {
+pub(crate) fn bonus_samples_into(config: &CliqueRankConfig, out: &mut Vec<f64>) {
     out.clear();
     match config.boost {
         BoostMode::Off => out.push(1.0),

@@ -221,7 +221,10 @@ impl Resolver {
                     &floored,
                     &pool,
                 );
-                let edge_probs = run_cliquerank(&gr, &cfg.cliquerank, &pool, cache.as_deref_mut());
+                let edge_probs = {
+                    let _span = er_obs::span("solve");
+                    run_cliquerank(&gr, &cfg.cliquerank, &pool, cache.as_deref_mut())
+                };
                 (gr, edge_probs)
             };
             let cliquerank_time = t1.elapsed();

@@ -50,7 +50,7 @@ pub use cache::CliqueRankCache;
 pub use cliquerank::{run_cliquerank, solve_component_into, CliqueScratch};
 pub use config::{
     default_threads, BoostMode, CliqueRankConfig, FusionConfig, IterConfig, Kernel, Normalization,
-    RssConfig,
+    Recurrence, RssConfig,
 };
 pub use fusion::{FusionOutcome, Resolver, RoundStats};
 pub use iter::{run_iter, run_iter_into, IterOutcome, IterScratch};

@@ -10,16 +10,46 @@
 //!                    = Σ_{v ∈ N(i) ∩ N(j)} Mt[i,v] · M[v,j]
 //! ```
 //!
-//! so one step costs `O(Σ_{(i,j)∈E} (deg i + deg j))` (two-pointer
-//! intersection of sorted neighbor rows) instead of `O(n³)`. This is an
-//! exact re-expression of the dense recurrence — the `kernels_agree`
-//! tests pin the two against each other — and it is what makes the very
-//! sparse Restaurant-style record graphs essentially free.
+//! # The column gather
+//!
+//! Every per-edge vector of the recurrence is kept in **incoming-edge
+//! order**: slot `p` of CSR row `j` holds the value of the edge
+//! `tgt[p] → j`. One step walks the target rows. For row `j` it scatters
+//! column `j` of the iterate into a dense buffer `y` of length `nc`
+//! (`y[v] = M[v,j]` for `v ∈ N(j)`, `+0.0` elsewhere); for each
+//! `i ∈ N(j)` it sums `Mt[i,v] · y[v]` over the whole of row `i`, in
+//! ascending `v`; then it writes `+0.0` back into the entries it set.
+//! The sum reads row `i`'s contiguous target and `Mt` slices and gathers
+//! only from `y`, with no data-dependent branch, so a step costs
+//! `Σ_i deg(i)²` multiply-adds instead of `O(n³)`.
+//!
+//! The gather is bitwise the two-pointer intersection of rows `i` and `j`
+//! (kept as the test oracle): the terms with `v ∈ N(i) ∩ N(j)` are the
+//! intersection's terms in the same ascending-`v` order, and every other
+//! term is a finite `Mt` entry times the `+0.0` left in `y`, which is
+//! `+0.0` and leaves the running sum's bits unchanged. That holds because
+//! every iterate is finite and non-negative and rustc never contracts
+//! `a * b + c` into an FMA. The `kernels_agree` tests pin the kernel to
+//! the dense recurrence.
+//!
+//! # Exact early exit
+//!
+//! The recurrence stops as soon as a step provably changes nothing. Under
+//! [`Recurrence::PaperEq15`] that is a step whose product is all zero:
+//! every later product is then zero too, and the accumulator would only
+//! gain `+0.0`. Under [`Recurrence::FirstPassage`] it is a step whose
+//! iterate equals the previous one bit for bit: the step is a
+//! deterministic map of the iterate, so it stays at that fixed point. A
+//! component with no triangle stops after one step. The test reads the
+//! whole vector after the step has joined, so a pooled and a serial solve
+//! stop at the same step.
 //!
 //! All working vectors live in a caller-owned `SparseScratch` and are
 //! rebuilt with `clear()` + `push`/`resize` inside their existing
 //! capacity, so a stream of components solved through one scratch runs
 //! with zero steady-state allocations.
+
+use std::ops::Range;
 
 use er_graph::RecordGraph;
 use er_pool::WorkerPool;
@@ -27,31 +57,35 @@ use er_pool::WorkerPool;
 use crate::cliquerank::pair_index;
 use crate::config::{CliqueRankConfig, Recurrence};
 
-/// Reusable buffers for the edgewise kernel: the local directed-edge CSR
-/// plus the per-edge recurrence vectors. All sized by the component's
-/// directed edge count and reused across components.
+/// Reusable buffers for the edgewise kernel: the local CSR, the per-edge
+/// recurrence vectors, and the gather's column buffers. All sized by the
+/// component and reused across components.
 #[derive(Debug, Default)]
 pub(crate) struct SparseScratch {
     /// Row offsets per local node (`nc + 1` entries).
     row_start: Vec<usize>,
-    /// Target local id per directed edge, sorted within each row.
+    /// Neighbor local id per slot, sorted within each row.
     tgt: Vec<u32>,
-    /// Index of the opposite directed edge `(j→i)` for each `(i→j)`.
+    /// Mirror slot per slot: slot `(j, i)` for slot `(i, j)`.
     rev: Vec<u32>,
-    /// Row-normalized transition `Mt[i,j]` per directed edge.
+    /// Row-normalized transition `Mt[i, tgt[e]]` per slot `e` of row `i`.
     mt: Vec<f64>,
-    /// α-scaled unnormalized weight per directed edge.
+    /// α-scaled unnormalized weight per slot, laid out like `mt`.
     a: Vec<f64>,
     /// Row sums of `a`.
     row_sum: Vec<f64>,
-    /// Expected boosted hit probability per directed edge.
+    /// Expected boosted hit probability per edge, incoming-edge order.
     hit: Vec<f64>,
-    /// Expected continuation scale per directed edge.
+    /// Expected continuation scale per edge, incoming-edge order.
     cont: Vec<f64>,
-    /// Recurrence double buffers and the Eq. 15 accumulator.
+    /// Recurrence double buffers and the Eq. 15 accumulator,
+    /// incoming-edge order.
     cur: Vec<f64>,
     next: Vec<f64>,
     acc: Vec<f64>,
+    /// The gather's dense column buffers: `nc` doubles per row band (one
+    /// band for a serial step), all `+0.0` between rows.
+    cols: Vec<f64>,
 }
 
 impl SparseScratch {
@@ -107,59 +141,101 @@ impl SparseScratch {
     }
 }
 
-/// `Σ_{v ∈ N(i) ∩ N(j)} Mt[i,v] · cur[(v→j)]` for the directed edge at
-/// index `e = (i→j)`, by two-pointer merge of rows `i` and `j`.
-// er-lint: zero-alloc
-fn propagate(
-    row_start: &[usize],
-    tgt: &[u32],
-    rev: &[u32],
-    mt: &[f64],
-    cur: &[f64],
-    i: usize,
-    e: usize,
-) -> f64 {
-    let j = tgt[e] as usize;
-    let (mut pi, ei) = (row_start[i], row_start[i + 1]);
-    let (mut pj, ej) = (row_start[j], row_start[j + 1]);
-    let mut sum = 0.0;
-    while pi < ei && pj < ej {
-        match tgt[pi].cmp(&tgt[pj]) {
-            std::cmp::Ordering::Less => pi += 1,
-            std::cmp::Ordering::Greater => pj += 1,
-            std::cmp::Ordering::Equal => {
-                // Common neighbor v: row j's entry at pj is (j→v);
-                // its reverse is (v→j), whose current value we need.
-                let v_to_j = rev[pj] as usize;
-                sum += mt[pi] * cur[v_to_j];
-                pi += 1;
-                pj += 1;
-            }
-        }
-    }
-    sum
+/// The read-only CSR a recurrence step gathers through.
+#[derive(Debug, Clone, Copy)]
+struct Csr<'a> {
+    row_start: &'a [usize],
+    tgt: &'a [u32],
+    mt: &'a [f64],
 }
 
-/// Estimated per-step cost of the sparse kernel for a component:
-/// `Σ_{(i,j) directed} (deg i + deg j)` two-pointer steps. Allocation-free
-/// (it runs on every component, before kernel selection).
+/// One recurrence step over the target rows `rows`, the one step function
+/// of both the serial and the pooled solve. For every slot `p` of those
+/// rows — edge `i → j` with `i = tgt[p]` — writes
+/// `f(p, Σ_{q ∈ row i} Mt[q] · y[tgt[q]])` into `next`, which starts at
+/// the first slot of `rows`. `y` is column `j` of `cur`, scattered into
+/// `col` (length `nc`, all `+0.0` on entry and on return).
+// er-lint: zero-alloc
+fn step_rows<F: Fn(usize, f64) -> f64>(
+    csr: Csr<'_>,
+    cur: &[f64],
+    rows: Range<usize>,
+    next: &mut [f64],
+    col: &mut [f64],
+    f: &F,
+) {
+    let Csr { row_start, tgt, mt } = csr;
+    let base = row_start[rows.start];
+    for j in rows {
+        let (lo, hi) = (row_start[j], row_start[j + 1]);
+        let sources = &tgt[lo..hi];
+        for (&v, &m) in sources.iter().zip(&cur[lo..hi]) {
+            col[v as usize] = m;
+        }
+        for ((p, &i), slot) in (lo..hi).zip(sources).zip(&mut next[lo - base..hi - base]) {
+            let (s, e) = (row_start[i as usize], row_start[i as usize + 1]);
+            let mut sum = 0.0;
+            for (&v, &w) in tgt[s..e].iter().zip(&mt[s..e]) {
+                sum += w * col[v as usize];
+            }
+            *slot = f(p, sum);
+        }
+        for &v in sources {
+            col[v as usize] = 0.0;
+        }
+    }
+}
+
+/// One recurrence step into `next`: inline over every row, or with one
+/// pool job per row band, each writing its own contiguous `next` slice
+/// through its own `nc`-double column buffer of `cols`. Every slot is
+/// computed by [`step_rows`] either way, so the bits do not depend on
+/// the band split.
+fn step<F: Fn(usize, f64) -> f64 + Sync>(
+    csr: Csr<'_>,
+    bands: &[Range<usize>],
+    pool: Option<&WorkerPool>,
+    cur: &[f64],
+    next: &mut [f64],
+    cols: &mut [f64],
+    f: &F,
+) {
+    let nc = csr.row_start.len() - 1;
+    let Some(pool) = pool else {
+        step_rows(csr, cur, 0..nc, next, &mut cols[..nc], f);
+        return;
+    };
+    // er-lint: allow(dispatch) -- `solve_component` gates the pool on `dispatch(cost.work)` before calling
+    pool.scope(|s| {
+        let mut rest = next;
+        for (rows, col) in bands.iter().zip(cols.chunks_exact_mut(nc)) {
+            let len = csr.row_start[rows.end] - csr.row_start[rows.start];
+            let (chunk, tail) = rest.split_at_mut(len);
+            rest = tail;
+            let rows = rows.clone();
+            s.submit(move || step_rows(csr, cur, rows, chunk, col, f));
+        }
+    });
+}
+
+/// Estimated per-step cost of the sparse kernel for a component: the
+/// gather's `Σ_i deg(i)²` multiply-adds. Allocation-free (it runs on
+/// every component, before kernel selection).
 // er-lint: zero-alloc
 pub(crate) fn sparse_step_cost(graph: &RecordGraph, members: &[u32]) -> usize {
-    // Σ over directed edges (i,·) of (deg_i + deg_j) = 2 Σ_i deg_i².
-    let sum_sq: usize = members
+    members
         .iter()
         .map(|&g| {
             let d = graph.neighbors(g).0.len();
             d * d
         })
-        .sum();
-    2 * sum_sq
+        .sum()
 }
 
 /// Splits the local node rows into contiguous ranges of roughly equal
-/// directed-edge count — the unit of work for the parallel recurrence
-/// step. Depends only on the CSR shape and `parts`, never on timing.
-fn edge_balanced_row_ranges(row_start: &[usize], parts: usize) -> Vec<std::ops::Range<usize>> {
+/// directed-edge count — the row bands of the pooled recurrence step.
+/// Depends only on the CSR shape and `parts`, never on timing.
+fn edge_balanced_row_ranges(row_start: &[usize], parts: usize) -> Vec<Range<usize>> {
     let nc = row_start.len().saturating_sub(1);
     if nc == 0 {
         return Vec::new();
@@ -180,46 +256,13 @@ fn edge_balanced_row_ranges(row_start: &[usize], parts: usize) -> Vec<std::ops::
     ranges
 }
 
-/// One parallel recurrence step: fills `next[e] = f(i, e)` for every
-/// directed edge, with row ranges fanned out as pool jobs. Each job
-/// writes the disjoint `next` subslice its rows own while reading the
-/// shared `cur`, and every `next[e]` is computed by exactly the serial
-/// formula — elementwise parallelism, bit-identical at any thread count.
-fn step_rows_pooled(
-    pool: &WorkerPool,
-    row_ranges: &[std::ops::Range<usize>],
-    row_start: &[usize],
-    next: &mut [f64],
-    f: &(dyn Fn(usize, usize) -> f64 + Sync),
-) {
-    // er-lint: allow(dispatch) -- `solve_component` gates the pool on `dispatch(cost.work)` before calling
-    pool.scope(|s| {
-        let mut rest = next;
-        let mut consumed = 0;
-        for rows in row_ranges {
-            let hi = row_start[rows.end];
-            let (chunk, tail) = rest.split_at_mut(hi - consumed);
-            rest = tail;
-            let lo = consumed;
-            consumed = hi;
-            let rows = rows.clone();
-            s.submit(move || {
-                for i in rows {
-                    for e in row_start[i]..row_start[i + 1] {
-                        chunk[e - lo] = f(i, e);
-                    }
-                }
-            });
-        }
-    });
-}
-
 /// Solves one component with the edgewise recursion and writes the
 /// symmetrized probabilities into `out`. Requires the neighbor mask.
 /// `bonus` is the shared `(1 + b)^α` sample vector computed by the
 /// caller; all working memory comes from `scratch`. With a pool (the
 /// caller has already made the dispatch decision), each recurrence step
-/// fans CSR row ranges out as jobs.
+/// fans row bands out as jobs. Returns the number of recurrence steps
+/// run: `config.steps − 1`, or fewer after an early exit.
 #[allow(clippy::too_many_arguments)] // mirrors the dense solver's signature plus the pool
 pub(crate) fn solve_component_sparse(
     graph: &RecordGraph,
@@ -230,7 +273,7 @@ pub(crate) fn solve_component_sparse(
     pool: Option<&WorkerPool>,
     out: &mut [f64],
     scratch: &mut SparseScratch,
-) {
+) -> usize {
     debug_assert!(config.neighbor_mask, "sparse kernel requires the mask");
     scratch.build_edges(graph, members, local_of, config.alpha);
     let SparseScratch {
@@ -245,15 +288,18 @@ pub(crate) fn solve_component_sparse(
         cur,
         next,
         acc,
+        cols,
     } = scratch;
+    let nc = members.len();
     let m = tgt.len();
 
-    // Boosted per-edge quantities (same formulas as the dense kernel).
+    // Boosted per-edge quantities (same formulas as the dense kernel),
+    // stored at the edge's incoming-order slot `rev[e]`.
     hit.clear();
     hit.resize(m, 0.0);
     cont.clear();
     cont.resize(m, 1.0);
-    for i in 0..members.len() {
+    for i in 0..nc {
         for e in row_start[i]..row_start[i + 1] {
             let aij = a[e];
             let rest = (row_sum[i] - aij).max(0.0);
@@ -263,57 +309,43 @@ pub(crate) fn solve_component_sparse(
                 h += beta * aij / denom;
                 c += row_sum[i] / denom;
             }
-            hit[e] = h / bonus.len() as f64;
-            cont[e] = c / bonus.len() as f64;
+            let p = rev[e] as usize;
+            hit[p] = h / bonus.len() as f64;
+            cont[p] = c / bonus.len() as f64;
         }
     }
 
     // From here on the CSR and per-edge coefficients are read-only;
     // reborrow shared so recurrence jobs can capture them.
-    type SharedCsr<'a> = (
-        &'a [usize],
-        &'a [u32],
-        &'a [u32],
-        &'a [f64],
-        &'a [f64],
-        &'a [f64],
-    );
-    let (row_start, tgt, rev, mt, hit, cont): SharedCsr = (row_start, tgt, rev, mt, hit, cont);
+    let csr = Csr { row_start, tgt, mt };
+    let (rev, hit, cont): (&[u32], &[f64], &[f64]) = (rev, hit, cont);
 
-    // Intra-component parallelism: fan row ranges out per step. The row
-    // split is fixed up front (it depends only on the CSR), so steps
-    // re-use it.
-    let row_ranges = pool.map_or_else(Vec::new, |p| {
+    // Intra-component parallelism: fan row bands out per step. The split
+    // is fixed up front (it depends only on the CSR), so steps re-use it.
+    let bands = pool.map_or_else(Vec::new, |p| {
         edge_balanced_row_ranges(row_start, p.threads() * 2)
     });
-    let par_pool = pool.filter(|_| row_ranges.len() > 1);
+    let pool = pool.filter(|_| bands.len() > 1);
+    cols.clear();
+    cols.resize(nc * bands.len().max(1), 0.0);
 
-    // Recurrence over per-directed-edge vectors.
+    // Recurrence over per-edge vectors, until `config.steps` or the
+    // early exit.
+    cur.clear();
+    cur.extend_from_slice(hit);
+    next.clear();
+    next.resize(m, 0.0);
+    let mut steps_run = 0;
     let final_vals: &[f64] = match config.recurrence {
         Recurrence::PaperEq15 => {
-            // M¹ = Mb = hit; acc += M^k.
-            cur.clear();
-            cur.extend_from_slice(hit);
+            // M¹ = Mb = hit; acc += M^k while the product is nonzero.
             acc.clear();
             acc.extend_from_slice(hit);
-            next.clear();
-            next.resize(m, 0.0);
             for _ in 2..=config.steps {
-                match par_pool {
-                    Some(p) => {
-                        let cur_ref: &[f64] = cur;
-                        step_rows_pooled(p, &row_ranges, row_start, next, &|i, e| {
-                            propagate(row_start, tgt, rev, mt, cur_ref, i, e)
-                        });
-                    }
-                    None => {
-                        for i in 0..members.len() {
-                            let (lo, hi) = (row_start[i], row_start[i + 1]);
-                            for (e, slot) in (lo..hi).zip(next[lo..hi].iter_mut()) {
-                                *slot = propagate(row_start, tgt, rev, mt, cur, i, e);
-                            }
-                        }
-                    }
+                step(csr, &bands, pool, cur, next, cols, &|_, g| g);
+                steps_run += 1;
+                if next.iter().all(|&v| v == 0.0) {
+                    break;
                 }
                 for (av, &n) in acc.iter_mut().zip(next.iter()) {
                     *av += n;
@@ -323,35 +355,36 @@ pub(crate) fn solve_component_sparse(
             acc
         }
         Recurrence::FirstPassage => {
-            // G¹ = H; G^k = H + C ⊙ (Mt × masked(G^{k−1})).
-            cur.clear();
-            cur.extend_from_slice(hit);
-            next.clear();
-            next.resize(m, 0.0);
+            // G¹ = H; G^k = H + C ⊙ (Mt × masked(G^{k−1})) until a fixed
+            // point.
             for _ in 2..=config.steps {
-                match par_pool {
-                    Some(p) => {
-                        let cur_ref: &[f64] = cur;
-                        step_rows_pooled(p, &row_ranges, row_start, next, &|i, e| {
-                            hit[e] + cont[e] * propagate(row_start, tgt, rev, mt, cur_ref, i, e)
-                        });
-                    }
-                    None => {
-                        for i in 0..members.len() {
-                            for e in row_start[i]..row_start[i + 1] {
-                                next[e] = hit[e]
-                                    + cont[e] * propagate(row_start, tgt, rev, mt, cur, i, e);
-                            }
-                        }
-                    }
-                }
+                step(csr, &bands, pool, cur, next, cols, &|p, g| {
+                    hit[p] + cont[p] * g
+                });
+                steps_run += 1;
+                let fixed = next
+                    .iter()
+                    .zip(cur.iter())
+                    .all(|(n, c)| n.to_bits() == c.to_bits());
                 std::mem::swap(cur, next);
+                if fixed {
+                    break;
+                }
             }
             cur
         }
     };
+    er_obs::counter_add("cliquerank_sparse_steps_total", steps_run as u64);
+    er_obs::counter_add(
+        "cliquerank_gather_terms_total",
+        (steps_run * sparse_step_cost(graph, members)) as u64,
+    );
+    if steps_run + 1 < config.steps {
+        er_obs::counter_add("cliquerank_early_exits_total", 1);
+    }
 
-    // Symmetrize with per-direction clamping and write out.
+    // Symmetrize with per-direction clamping and write out. Slot `e` of
+    // row `li` holds `lj → li`; `li → lj` sits at its mirror slot.
     for (li, &g) in members.iter().enumerate() {
         for e in row_start[li]..row_start[li + 1] {
             let lj = tgt[e] as usize;
@@ -359,7 +392,7 @@ pub(crate) fn solve_component_sparse(
             if gj <= g {
                 continue;
             }
-            let (mut fwd, mut bwd) = (final_vals[e], final_vals[rev[e] as usize]);
+            let (mut fwd, mut bwd) = (final_vals[rev[e] as usize], final_vals[e]);
             if config.clamp {
                 fwd = fwd.clamp(0.0, 1.0);
                 bwd = bwd.clamp(0.0, 1.0);
@@ -367,13 +400,16 @@ pub(crate) fn solve_component_sparse(
             out[pair_index(graph, g, gj)] = 0.5 * (fwd + bwd);
         }
     }
+    steps_run
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Kernel;
+    use crate::cliquerank::bonus_samples_into;
+    use crate::config::{BoostMode, Kernel};
     use er_graph::bipartite::PairNode;
+    use proptest::prelude::*;
 
     /// CliqueRank on a 1-thread pool, without a cache.
     fn run_cliquerank(g: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
@@ -509,5 +545,264 @@ mod tests {
         );
         let members: Vec<u32> = (0..4).collect();
         assert!(sparse_step_cost(&path, &members) < sparse_step_cost(&clique, &members));
+    }
+
+    /// `Σ_{v ∈ N(i) ∩ N(j)} Mt[i,v] · cur[(v→j)]` for the directed edge at
+    /// index `e = (i→j)`, by two-pointer merge of rows `i` and `j`, with
+    /// `cur` in out-edge order.
+    fn propagate(
+        row_start: &[usize],
+        tgt: &[u32],
+        rev: &[u32],
+        mt: &[f64],
+        cur: &[f64],
+        i: usize,
+        e: usize,
+    ) -> f64 {
+        let j = tgt[e] as usize;
+        let (mut pi, ei) = (row_start[i], row_start[i + 1]);
+        let (mut pj, ej) = (row_start[j], row_start[j + 1]);
+        let mut sum = 0.0;
+        while pi < ei && pj < ej {
+            match tgt[pi].cmp(&tgt[pj]) {
+                std::cmp::Ordering::Less => pi += 1,
+                std::cmp::Ordering::Greater => pj += 1,
+                std::cmp::Ordering::Equal => {
+                    // Common neighbor v: row j's entry at pj is (j→v);
+                    // its reverse is (v→j), whose current value we need.
+                    let v_to_j = rev[pj] as usize;
+                    sum += mt[pi] * cur[v_to_j];
+                    pi += 1;
+                    pj += 1;
+                }
+            }
+        }
+        sum
+    }
+
+    /// The two-pointer merge recurrence the gather replaced, kept as its
+    /// bitwise oracle: per-edge vectors in out-edge order (slot `e` of row
+    /// `i` is the edge `i → tgt[e]`), every one of the `steps − 1` steps,
+    /// no early exit.
+    fn solve_component_merge(
+        graph: &RecordGraph,
+        members: &[u32],
+        local_of: &[u32],
+        config: &CliqueRankConfig,
+        bonus: &[f64],
+        out: &mut [f64],
+    ) {
+        let mut scratch = SparseScratch::default();
+        scratch.build_edges(graph, members, local_of, config.alpha);
+        let SparseScratch {
+            row_start,
+            tgt,
+            rev,
+            mt,
+            a,
+            row_sum,
+            ..
+        } = &scratch;
+        let m = tgt.len();
+        let mut hit = vec![0.0; m];
+        let mut cont = vec![1.0; m];
+        for i in 0..members.len() {
+            for e in row_start[i]..row_start[i + 1] {
+                let aij = a[e];
+                let rest = (row_sum[i] - aij).max(0.0);
+                let (mut h, mut c) = (0.0, 0.0);
+                for &beta in bonus {
+                    let denom = beta * aij + rest;
+                    h += beta * aij / denom;
+                    c += row_sum[i] / denom;
+                }
+                hit[e] = h / bonus.len() as f64;
+                cont[e] = c / bonus.len() as f64;
+            }
+        }
+        let step = |cur: &[f64], f: &dyn Fn(usize, f64) -> f64| -> Vec<f64> {
+            (0..members.len())
+                .flat_map(|i| (row_start[i]..row_start[i + 1]).map(move |e| (i, e)))
+                .map(|(i, e)| f(e, propagate(row_start, tgt, rev, mt, cur, i, e)))
+                .collect()
+        };
+        let final_vals = match config.recurrence {
+            Recurrence::PaperEq15 => {
+                let mut cur = hit.clone();
+                let mut acc = hit.clone();
+                for _ in 2..=config.steps {
+                    cur = step(&cur, &|_, g| g);
+                    for (av, &n) in acc.iter_mut().zip(&cur) {
+                        *av += n;
+                    }
+                }
+                acc
+            }
+            Recurrence::FirstPassage => {
+                let mut cur = hit.clone();
+                for _ in 2..=config.steps {
+                    cur = step(&cur, &|e, g| hit[e] + cont[e] * g);
+                }
+                cur
+            }
+        };
+        for (li, &g) in members.iter().enumerate() {
+            for e in row_start[li]..row_start[li + 1] {
+                let gj = members[tgt[e] as usize];
+                if gj <= g {
+                    continue;
+                }
+                let (mut fwd, mut bwd) = (final_vals[e], final_vals[rev[e] as usize]);
+                if config.clamp {
+                    fwd = fwd.clamp(0.0, 1.0);
+                    bwd = bwd.clamp(0.0, 1.0);
+                }
+                out[pair_index(graph, g, gj)] = 0.5 * (fwd + bwd);
+            }
+        }
+    }
+
+    /// Runs `solve` on every component of `g` with its members mapped to
+    /// local ids; returns the edge probabilities and each solve's result.
+    fn solve_each<R>(
+        g: &RecordGraph,
+        mut solve: impl FnMut(&[u32], &[u32], &mut [f64]) -> R,
+    ) -> (Vec<f64>, Vec<R>) {
+        let mut out = vec![0.0; g.pairs().len()];
+        let mut local_of = vec![u32::MAX; g.node_count()];
+        let mut results = Vec::new();
+        for members in g.components().members.iter().filter(|m| m.len() >= 2) {
+            for (li, &r) in members.iter().enumerate() {
+                local_of[r as usize] = li as u32;
+            }
+            results.push(solve(members, &local_of, &mut out));
+            for &r in members {
+                local_of[r as usize] = u32::MAX;
+            }
+        }
+        (out, results)
+    }
+
+    /// Both recurrences × boost `Expected`, `Fixed(0.0)` and `Off` × clamp
+    /// on and off, at `steps`.
+    fn oracle_configs(steps: usize) -> Vec<CliqueRankConfig> {
+        let mut configs = Vec::new();
+        for recurrence in [Recurrence::PaperEq15, Recurrence::FirstPassage] {
+            for boost in [BoostMode::default(), BoostMode::Fixed(0.0), BoostMode::Off] {
+                for clamp in [true, false] {
+                    configs.push(CliqueRankConfig {
+                        steps,
+                        recurrence,
+                        boost,
+                        clamp,
+                        ..Default::default()
+                    });
+                }
+            }
+        }
+        configs
+    }
+
+    /// Asserts that the serial gather and the gather pooled over row bands
+    /// both equal the merge oracle bit for bit on every component of `g`,
+    /// and stop at the same step; returns each component's step count.
+    fn assert_gather_matches_merge(
+        g: &RecordGraph,
+        cfg: &CliqueRankConfig,
+        pool: &WorkerPool,
+    ) -> Vec<usize> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let mut bonus = Vec::new();
+        bonus_samples_into(cfg, &mut bonus);
+        let (want, _) = solve_each(g, |members, local_of, out| {
+            solve_component_merge(g, members, local_of, cfg, &bonus, out);
+        });
+        let mut scratch = SparseScratch::default();
+        let (serial, steps) = solve_each(g, |members, local_of, out| {
+            solve_component_sparse(g, members, local_of, cfg, &bonus, None, out, &mut scratch)
+        });
+        let (pooled, pooled_steps) = solve_each(g, |members, local_of, out| {
+            let pool = Some(pool);
+            solve_component_sparse(g, members, local_of, cfg, &bonus, pool, out, &mut scratch)
+        });
+        assert_eq!(
+            bits(&serial),
+            bits(&want),
+            "serial gather vs merge: {cfg:?}"
+        );
+        assert_eq!(
+            bits(&pooled),
+            bits(&want),
+            "pooled gather vs merge: {cfg:?}"
+        );
+        assert_eq!(steps, pooled_steps, "pooled and serial stop apart: {cfg:?}");
+        steps
+    }
+
+    /// A random graph over up to 30 nodes whose weights span 21 orders of
+    /// magnitude, so α = 20 drives some `Mt` entries to subnormal or zero.
+    fn spread_graph() -> impl Strategy<Value = RecordGraph> {
+        (2u32..=30).prop_flat_map(|n| {
+            let draws = (n * n / 2).max(2) as usize;
+            proptest::collection::btree_map((0..n, 0..n), -20.0f64..1.0, 1..draws).prop_map(
+                move |m| {
+                    let (ps, ws): (Vec<PairNode>, Vec<f64>) = m
+                        .into_iter()
+                        .filter(|&((a, b), _)| a < b)
+                        .map(|((a, b), exp)| (PairNode::new(a, b), 10f64.powf(exp)))
+                        .unzip();
+                    RecordGraph::from_pair_scores(n as usize, &ps, &ws)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn gather_equals_merge_bit_for_bit(g in spread_graph(), steps in 1usize..=20) {
+            let pool = WorkerPool::new(3);
+            for cfg in oracle_configs(steps) {
+                assert_gather_matches_merge(&g, &cfg, &pool);
+            }
+        }
+    }
+
+    /// Triangle-free graphs: a path, a star, an even cycle, a complete
+    /// bipartite graph and a single edge.
+    fn triangle_free_graphs() -> Vec<RecordGraph> {
+        let build = |n: usize, ps: Vec<(u32, u32)>| {
+            let ws: Vec<f64> = (0..ps.len())
+                .map(|k| 0.2 + 0.7 * ((k * 7) % 11) as f64 / 11.0)
+                .collect();
+            RecordGraph::from_pair_scores(n, &pairs(&ps), &ws)
+        };
+        vec![
+            build(10, (0..9).map(|i| (i, i + 1)).collect()),
+            build(8, (1..8).map(|i| (0, i)).collect()),
+            build(12, (0..12).map(|i| (i, (i + 1) % 12)).collect()),
+            build(
+                9,
+                (0..4).flat_map(|a| (4..9).map(move |b| (a, b))).collect(),
+            ),
+            build(2, vec![(0, 1)]),
+        ]
+    }
+
+    #[test]
+    fn triangle_free_components_stop_after_one_step() {
+        let pool = WorkerPool::new(3);
+        for g in triangle_free_graphs() {
+            for steps in 1..=20 {
+                for cfg in oracle_configs(steps) {
+                    let ran = assert_gather_matches_merge(&g, &cfg, &pool);
+                    assert!(
+                        ran.iter().all(|&r| r == steps.min(2) - 1),
+                        "steps={steps} ran={ran:?} {cfg:?}"
+                    );
+                }
+            }
+        }
     }
 }

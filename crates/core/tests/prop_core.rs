@@ -100,7 +100,7 @@ proptest! {
         // More steps can only increase a first-passage probability.
         let cfg = |steps| CliqueRankConfig {
             steps,
-            recurrence: er_core::config::Recurrence::FirstPassage,
+            recurrence: er_core::Recurrence::FirstPassage,
             ..Default::default()
         };
         let short = run_cliquerank(&graph, &cfg(3), &one_thread(), None);

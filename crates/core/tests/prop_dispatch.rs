@@ -7,10 +7,14 @@
 //! identical to the plain serial run at 1, 2, and 8 threads. The
 //! policies are constructed directly rather than read from the
 //! environment so the tests cover both sides of the cutover on every
-//! input, whatever `ER_DISPATCH` says. CliqueRank is also run through a
-//! component cache, cold and warm, at every thread count and policy.
+//! input, whatever `ER_DISPATCH` says. CliqueRank runs under both
+//! recurrences, on random graphs and on triangle-free ones whose sparse
+//! recurrence exits after one step, and also through a component cache,
+//! cold and warm, at every thread count and policy.
 
-use er_core::{run_cliquerank, run_iter, CliqueRankCache, CliqueRankConfig, IterConfig, Kernel};
+use er_core::{
+    run_cliquerank, run_iter, CliqueRankCache, CliqueRankConfig, IterConfig, Kernel, Recurrence,
+};
 use er_graph::bipartite::PairNode;
 use er_graph::{BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
@@ -49,6 +53,22 @@ fn record_graph() -> impl Strategy<Value = RecordGraph> {
         RecordGraph::from_pair_scores(10, &pairs, &scores)
     })
 }
+
+/// A random weighted bipartite record graph — records 0..5 on one side,
+/// 5..10 on the other — so it has no triangle and the sparse kernel's
+/// early exit stops every component after one step.
+fn triangle_free_graph() -> impl Strategy<Value = RecordGraph> {
+    proptest::collection::btree_map((0u32..5, 5u32..10), 0.05f64..2.0, 1..25).prop_map(|m| {
+        let (pairs, scores): (Vec<PairNode>, Vec<f64>) = m
+            .into_iter()
+            .map(|((a, b), w)| (PairNode::new(a, b), w))
+            .unzip();
+        RecordGraph::from_pair_scores(10, &pairs, &scores)
+    })
+}
+
+/// The recurrence axis of the CliqueRank tests.
+const RECURRENCES: [Recurrence; 2] = [Recurrence::PaperEq15, Recurrence::FirstPassage];
 
 /// Policies covering both forced modes and thresholds an input of
 /// estimated work `w` sits below, exactly at, and above.
@@ -141,18 +161,26 @@ proptest! {
     #[test]
     fn cliquerank_dense_bit_identical_across_the_cutover(
         graph in record_graph(),
+        triangle_free in triangle_free_graph(),
         steps in 1usize..8,
     ) {
-        let cfg = CliqueRankConfig { steps, kernel: Kernel::Dense, ..Default::default() };
-        cliquerank_bit_identical(&graph, &cfg);
+        for recurrence in RECURRENCES {
+            let cfg = CliqueRankConfig { steps, recurrence, kernel: Kernel::Dense, ..Default::default() };
+            cliquerank_bit_identical(&graph, &cfg);
+            cliquerank_bit_identical(&triangle_free, &cfg);
+        }
     }
 
     #[test]
     fn cliquerank_sparse_bit_identical_across_the_cutover(
         graph in record_graph(),
+        triangle_free in triangle_free_graph(),
         steps in 1usize..8,
     ) {
-        let cfg = CliqueRankConfig { steps, kernel: Kernel::Sparse, ..Default::default() };
-        cliquerank_bit_identical(&graph, &cfg);
+        for recurrence in RECURRENCES {
+            let cfg = CliqueRankConfig { steps, recurrence, kernel: Kernel::Sparse, ..Default::default() };
+            cliquerank_bit_identical(&graph, &cfg);
+            cliquerank_bit_identical(&triangle_free, &cfg);
+        }
     }
 }

@@ -6,7 +6,8 @@
 //!   scratch arena, the pack buffers, and the sparse-kernel CSR scratch
 //!   to their high-water marks, repeating the solve on the same
 //!   component must allocate nothing, on both the dense (packed matmul)
-//!   and the edgewise sparse path.
+//!   and the edgewise sparse path, and on a triangle-free component
+//!   whose sparse recurrence exits early.
 //! * **Batch similarity engine** — after one pass over a pair batch has
 //!   grown `SimScratch` (DP rows, bit-parallel masks, Monge-Elkan memo
 //!   tables, the stamped non-ASCII mask rows), re-scoring the batch on
@@ -110,6 +111,15 @@ fn component_graph() -> RecordGraph {
     RecordGraph::from_pair_scores(n as usize, &pairs, &scores)
 }
 
+/// A triangle-free component: a 24-node even cycle, whose sparse
+/// recurrence exits after its first step.
+fn even_cycle() -> RecordGraph {
+    let n = 24u32;
+    let pairs: Vec<PairNode> = (0..n).map(|i| PairNode::new(i, (i + 1) % n)).collect();
+    let scores: Vec<f64> = (0..n).map(|i| 0.4 + 0.05 * f64::from(i % 5)).collect();
+    RecordGraph::from_pair_scores(n as usize, &pairs, &scores)
+}
+
 fn config(kernel: Kernel) -> CliqueRankConfig {
     CliqueRankConfig {
         kernel,
@@ -118,8 +128,7 @@ fn config(kernel: Kernel) -> CliqueRankConfig {
     }
 }
 
-fn assert_steady_state_alloc_free(kernel: Kernel, label: &str) {
-    let graph = component_graph();
+fn assert_steady_state_alloc_free(graph: &RecordGraph, kernel: Kernel, label: &str) {
     let cfg = config(kernel);
     let comps = graph.components();
     let members = comps
@@ -136,11 +145,11 @@ fn assert_steady_state_alloc_free(kernel: Kernel, label: &str) {
 
     // Warm-up: grows the arena, pack buffers, and sparse CSR scratch to
     // their high-water marks.
-    solve_component_into(&graph, members, &local_of, &cfg, &mut out, &mut scratch);
+    solve_component_into(graph, members, &local_of, &cfg, &mut out, &mut scratch);
     let baseline = out.clone();
 
     let allocs = count_allocs(|| {
-        solve_component_into(&graph, members, &local_of, &cfg, &mut out, &mut scratch);
+        solve_component_into(graph, members, &local_of, &cfg, &mut out, &mut scratch);
     });
     assert_eq!(
         allocs, 0,
@@ -198,7 +207,8 @@ fn assert_batch_scorer_steady_state() {
 
 #[test]
 fn cliquerank_recurrence_steady_state_allocates_nothing() {
-    assert_steady_state_alloc_free(Kernel::Dense, "dense packed path");
-    assert_steady_state_alloc_free(Kernel::Sparse, "edgewise sparse path");
+    assert_steady_state_alloc_free(&component_graph(), Kernel::Dense, "dense packed path");
+    assert_steady_state_alloc_free(&component_graph(), Kernel::Sparse, "edgewise sparse path");
+    assert_steady_state_alloc_free(&even_cycle(), Kernel::Sparse, "sparse early exit");
     assert_batch_scorer_steady_state();
 }
