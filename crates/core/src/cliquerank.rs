@@ -7,9 +7,10 @@
 //!
 //! # Recurrences
 //!
-//! [`Recurrence::FirstPassage`] is the exact matrix transcription of
-//! RSS's walk. In RSS, each step toward target `j`
-//! renormalizes the whole row with the boosted target entry (Eq. 12):
+//! [`Recurrence::FirstPassage`](crate::Recurrence::FirstPassage) is the
+//! exact matrix transcription of RSS's walk. In RSS, each step toward
+//! target `j` renormalizes the whole row with the boosted target entry
+//! (Eq. 12):
 //!
 //! ```text
 //! P(step v→j)     = β·a_vj / (β·a_vj + rowsum_v − a_vj)   =: H[v,j]
@@ -32,47 +33,56 @@
 //! entry is a genuine probability (≤ 1) and `p(ri, rj) =
 //! (G^S[i,j] + G^S[j,i]) / 2` needs no clamping.
 //!
-//! [`Recurrence::PaperEq15`] (default) is the paper's literal formulation
-//! (`M¹ = Mb`, `M^k = Mt × (M^{k−1} ⊙ Mn)`, `p = Σ_k …`), the one that
+//! [`Recurrence::PaperEq15`](crate::Recurrence::PaperEq15) (default) is
+//! the paper's literal formulation (`M¹ = Mb`,
+//! `M^k = Mt × (M^{k−1} ⊙ Mn)`, `p = Σ_k …`), the one that
 //! reproduces its Table II: it boosts only the hop entering the target
 //! and uses the unboosted `Mt` elsewhere, so rows whose edges are all
 //! weak-but-equal over-count and need clamping (see `ablation_recurrence`
 //! bench and DESIGN.md §3.3).
 //!
-//! # Block decomposition
+//! # Block decomposition and kernels
 //!
 //! Walks never leave the connected component they start in, so all
 //! matrices are block-diagonal under a component permutation. The solver
-//! materializes dense matrices **per connected component** — exact, and
-//! far cheaper than one n × n product on sparse record graphs.
+//! runs the recurrence **per connected component** — exact, and far
+//! cheaper than one n × n product on sparse record graphs — over the
+//! component's edge set: the adjacency, or every ordered pair with the
+//! neighbor mask off. One builder, one recurrence driver and one
+//! write-out serve both kernels ([`crate::sparse_kernel`]), which differ
+//! only in how a step forms `Mt × M`: a column gather at `Σ_i deg(i)²`
+//! multiply-adds, or a packed GEMM at `nc³`. `component_cost` picks one
+//! per component, and both stop early once a step changes nothing.
 
 use std::cmp::Reverse;
 
 use er_graph::{bipartite::PairNode, RecordGraph};
-use er_matrix::{matmul_into, Matrix, MatrixArena, PackScratch};
+use er_matrix::{MatrixArena, PackScratch};
 use er_pool::{ScratchSlot, WorkerPool};
 
 use crate::cache::{component_hash, CliqueRankCache};
-use crate::config::{BoostMode, CliqueRankConfig, Kernel, Recurrence};
-use crate::sparse_kernel::{solve_component_sparse, sparse_step_cost, SparseScratch};
+use crate::config::{BoostMode, CliqueRankConfig, Kernel};
+use crate::sparse_kernel::{sparse_step_cost, Product, SparseScratch};
 
 /// Reusable working memory for the CliqueRank component solver.
 ///
-/// One scratch serves a *stream* of components on one thread: the dense
-/// recurrence draws all of its matrices from the size-bucketed
-/// [`MatrixArena`], the packed matmul reuses [`PackScratch`], and the
-/// sparse kernel its CSR/vector buffers — so after the first component
-/// of each size bucket, solving allocates nothing (see
-/// `tests/zero_alloc.rs` at the workspace root). Parallel component
-/// scheduling checks one out per pool job via
-/// [`er_pool::ScratchSlot`].
+/// One scratch serves a *stream* of components on one thread: the edge
+/// set's CSR and per-edge vectors are rebuilt in place, the gather
+/// reuses its column buffers, the GEMM step draws its three operands
+/// from the size-bucketed [`MatrixArena`] and the packed matmul reuses
+/// [`PackScratch`] — so after the first component of each size bucket,
+/// solving allocates nothing (see `tests/zero_alloc.rs` at the
+/// workspace root). Parallel component scheduling checks one out per
+/// pool job via [`er_pool::ScratchSlot`].
 #[derive(Debug, Default)]
 pub struct CliqueScratch {
     arena: MatrixArena,
     pack: PackScratch,
     bonus: Vec<f64>,
-    row_sums: Vec<f64>,
-    sparse: SparseScratch,
+    /// The gather's dense column buffers: `nc` doubles per row band (one
+    /// band for a serial step), all `+0.0` between rows.
+    cols: Vec<f64>,
+    edges: SparseScratch,
 }
 
 /// Runs CliqueRank on the caller's worker pool; returns the matching
@@ -95,6 +105,9 @@ pub fn run_cliquerank(
     cache: Option<&mut CliqueRankCache>,
 ) -> Vec<f64> {
     assert!(config.alpha > 0.0, "alpha must be positive");
+    // Below 2^10, (1 + b)^α is finite for every b ∈ [0, 1] and no row's
+    // largest weight (1/2)^α underflows.
+    assert!(config.alpha < 1024.0, "alpha must be below 1024");
     assert!(config.steps >= 1, "need at least one step");
     let comps = graph.components();
     let solvable: Vec<&[u32]> = comps
@@ -144,24 +157,25 @@ pub fn run_cliquerank(
 
 /// Kernel choice and estimated solve cost of one component.
 #[derive(Debug, Clone, Copy)]
-struct ComponentCost {
-    /// Solve with the edgewise sparse kernel rather than dense products.
-    sparse: bool,
+pub(crate) struct ComponentCost {
+    /// Step with the column gather rather than the packed GEMM.
+    pub(crate) sparse: bool,
     /// Estimated elementary operations of the whole recurrence.
-    work: usize,
+    pub(crate) work: usize,
 }
 
 /// Picks one component's kernel and prices its solve — the estimate the
 /// dispatch decision, the scheduler and [`solve_component`] all read.
 ///
-/// The edgewise sparse recursion is exact whenever the neighbor mask is
-/// on; [`Kernel::Auto`] picks it when its per-step cost, the column
-/// gather's `Σ_i deg(i)²` multiply-adds, times 16 is below the dense
-/// product's `nc³`. The 16 is the old 8× credit for the dense kernel's
-/// vectorized inner loop against the two-pointer merge's `2 Σ_i deg(i)²`
-/// steps, kept so the cutover does not move: the two kernels agree only
-/// to 1e-10, so moving it would move bits. The work is the chosen
-/// kernel's per-step cost times the step count.
+/// With the neighbor mask on, [`Kernel::Auto`] picks the column gather
+/// when its per-step cost, `Σ_i deg(i)²` multiply-adds, times 16 is
+/// below the GEMM's `nc³`; with it off, every component takes the GEMM.
+/// The 16 is the old 8× credit for the GEMM's vectorized inner loop
+/// against the two-pointer merge's `2 Σ_i deg(i)²` steps, kept so the
+/// cutover does not move: the two steps agree bit for bit only below
+/// `KC` = 256 records (past it the GEMM sums in `KC` panels), so moving
+/// it could move bits. The work is the chosen kernel's per-step cost
+/// times the step count.
 // er-lint: zero-alloc
 fn component_cost(
     graph: &RecordGraph,
@@ -362,11 +376,13 @@ pub fn solve_component_into(
 }
 
 /// Solves one connected component with the kernel `cost` picked,
-/// writing edge probabilities into `out`. `pool`, when given, runs the
-/// recurrence's steps in parallel past its dispatch cutover.
+/// writing edge probabilities into `out`, and returns the recurrence
+/// steps run. The edge set, the coefficients, the recurrence and the
+/// write-out are the same for both kernels; only the step's product
+/// differs (see [`crate::sparse_kernel`]). `pool`, when given, runs the
+/// steps in parallel past its dispatch cutover.
 #[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)]
-fn solve_component(
+pub(crate) fn solve_component(
     graph: &RecordGraph,
     members: &[u32],
     local_of: &[u32],
@@ -375,97 +391,44 @@ fn solve_component(
     pool: Option<&WorkerPool>,
     out: &mut [f64],
     scratch: &mut CliqueScratch,
-) {
-    let nc = members.len();
+) -> usize {
     let CliqueScratch {
         arena,
         pack,
         bonus,
-        row_sums,
-        sparse,
+        cols,
+        edges,
     } = scratch;
     bonus_samples_into(config, bonus);
-    if cost.sparse {
+    edges.build(
+        graph,
+        members,
+        local_of,
+        config.alpha,
+        bonus,
+        config.neighbor_mask,
+    );
+    let mut product = if cost.sparse {
         er_obs::counter_add("cliquerank_sparse_solves_total", 1);
-        // The sparse steps fan out only when the whole recurrence is
+        // The gather steps fan out only when the whole recurrence is
         // worth the coordination.
         let pool = pool.filter(|p| p.dispatch(cost.work).is_parallel());
-        solve_component_sparse(graph, members, local_of, config, bonus, pool, out, sparse);
-        return;
-    }
-    er_obs::counter_add("cliquerank_dense_solves_total", 1);
-    // α-scaled edge powers: a[i][j] = (w_ij / (2 · rowmax_i))^α. The row
-    // scaling keeps powf in range for any similarity magnitude (it cancels
-    // in the row normalization); the factor 2 leaves headroom for the
-    // (1 + b) ≤ 2 bonus.
-    let mut a = arena.take(nc, nc);
-    row_sums.clear();
-    row_sums.resize(nc, 0.0);
-    for (li, &g) in members.iter().enumerate() {
-        let (neighbors, sims) = graph.neighbors(g);
-        let row_max = sims.iter().fold(0.0f64, |m, &v| m.max(v));
-        debug_assert!(row_max > 0.0, "component member with no positive edge");
-        let scale = 2.0 * row_max;
-        let mut sum = 0.0;
-        for (&nb, &sim) in neighbors.iter().zip(sims) {
-            let lj = local_of[nb as usize] as usize;
-            let v = (sim / scale).powf(config.alpha);
-            a.set(li, lj, v);
-            sum += v;
-        }
-        row_sums[li] = sum;
-    }
-
-    // Mt: plain row-normalized transitions (Eq. 11 / 13).
-    let mut mt = arena.take(nc, nc);
-    for i in 0..nc {
-        if row_sums[i] <= 0.0 {
-            continue;
-        }
-        for j in 0..nc {
-            let v = a.get(i, j);
-            if v > 0.0 {
-                mt.set(i, j, v / row_sums[i]);
-            }
-        }
-    }
-    er_matrix::invariant::debug_validate("CliqueRank transition matrix Mt", || {
-        mt.validate_row_stochastic(1e-9)
-    });
-
-    let final_matrix = match config.recurrence {
-        Recurrence::FirstPassage => first_passage(
-            graph, members, local_of, &a, row_sums, &mt, bonus, config, pool, arena, pack,
-        ),
-        Recurrence::PaperEq15 => paper_eq15(
-            graph, members, local_of, &a, row_sums, &mt, bonus, config, pool, arena, pack,
-        ),
+        Product::gather(edges, pool, cols)
+    } else {
+        er_obs::counter_add("cliquerank_dense_solves_total", 1);
+        Product::gemm(edges, arena, pool, pack)
     };
-
-    // Symmetrize (Eq. 15's bi-directional average) and write out per
-    // edge. Each directional sum approximates "probability of reaching
-    // the target within S steps" and is therefore clamped to [0, 1]
-    // *before* averaging — otherwise a single over-counted direction
-    // (Eq. 15 on a weak blob) could push the average past the threshold
-    // on its own, defeating the bi-directional averaging the paper
-    // introduces exactly to depress one-sided reachability (§VI-B).
-    for (li, &g) in members.iter().enumerate() {
-        for &nb in graph.neighbors(g).0 {
-            if nb <= g {
-                continue;
-            }
-            let lj = local_of[nb as usize] as usize;
-            let (mut fwd, mut bwd) = (final_matrix.get(li, lj), final_matrix.get(lj, li));
-            if config.clamp {
-                fwd = fwd.clamp(0.0, 1.0);
-                bwd = bwd.clamp(0.0, 1.0);
-            }
-            out[pair_index(graph, g, nb)] = 0.5 * (fwd + bwd);
-        }
+    let steps_run = edges.recur(config, &mut product);
+    product.recycle(arena);
+    if cost.sparse {
+        er_obs::counter_add("cliquerank_sparse_steps_total", steps_run as u64);
+        er_obs::counter_add(
+            "cliquerank_gather_terms_total",
+            (steps_run * sparse_step_cost(graph, members)) as u64,
+        );
     }
-    arena.recycle(a);
-    arena.recycle(mt);
-    arena.recycle(final_matrix);
+    edges.write_out(graph, members, local_of, config, out);
+    steps_run
 }
 
 /// The `(1 + b)^α` bonus factors the boosted matrices average over,
@@ -488,156 +451,10 @@ pub(crate) fn bonus_samples_into(config: &CliqueRankConfig, out: &mut Vec<f64>) 
     }
 }
 
-/// First-passage recurrence: returns `G^S` (an arena matrix the caller
-/// recycles).
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)]
-fn first_passage(
-    graph: &RecordGraph,
-    members: &[u32],
-    local_of: &[u32],
-    a: &Matrix,
-    row_sums: &[f64],
-    mt: &Matrix,
-    bonus: &[f64],
-    config: &CliqueRankConfig,
-    pool: Option<&WorkerPool>,
-    arena: &mut MatrixArena,
-    pack: &mut PackScratch,
-) -> Matrix {
-    let nc = members.len();
-    // H[v,j]: expected boosted hit probability; C[v,j]: expected
-    // continuation scale. Both only meaningful where (v, j) is an edge for
-    // H, but C is needed for every (v, j) with j adjacent to the walk —
-    // when (v, j) is NOT an edge, the boost does not apply and
-    // C[v,j] = 1 (the row is normalized without any boosted entry).
-    let mut h = arena.take(nc, nc);
-    let mut c = arena.take(nc, nc);
-    c.data_mut().fill(1.0);
-    for i in 0..nc {
-        if row_sums[i] <= 0.0 {
-            continue;
-        }
-        for j in 0..nc {
-            let aij = a.get(i, j);
-            if aij <= 0.0 {
-                continue;
-            }
-            let rest = (row_sums[i] - aij).max(0.0);
-            let mut hit = 0.0;
-            let mut cont = 0.0;
-            for &beta in bonus {
-                let denom = beta * aij + rest;
-                hit += beta * aij / denom;
-                cont += row_sums[i] / denom;
-            }
-            h.set(i, j, hit / bonus.len() as f64);
-            c.set(i, j, cont / bonus.len() as f64);
-        }
-    }
-
-    // G¹ = H; G^k = H + C ⊙ (Mt × (G^{k−1} ⊙ Mn)). `cont` double-buffers
-    // against `g_mat`: the step product reshapes it in place, so the loop
-    // body allocates nothing.
-    let mut g_mat = arena.take(nc, nc);
-    g_mat.data_mut().copy_from_slice(h.data());
-    let mut masked = arena.take(nc, nc);
-    let mut cont = arena.take(nc, nc);
-    for _ in 2..=config.steps {
-        apply_neighbor_mask(graph, members, local_of, &g_mat, &mut masked, config);
-        matmul_into(mt, &masked, &mut cont, pool, pack);
-        cont.hadamard_assign(&c);
-        cont.add_assign(&h);
-        std::mem::swap(&mut g_mat, &mut cont);
-    }
-    arena.recycle(h);
-    arena.recycle(c);
-    arena.recycle(masked);
-    arena.recycle(cont);
-    g_mat
-}
-
-/// The paper's literal Eq. 15 accumulation: returns `Σ_k M^k` (an arena
-/// matrix the caller recycles).
-#[allow(clippy::too_many_arguments)]
-#[allow(clippy::needless_range_loop)]
-fn paper_eq15(
-    graph: &RecordGraph,
-    members: &[u32],
-    local_of: &[u32],
-    a: &Matrix,
-    row_sums: &[f64],
-    mt: &Matrix,
-    bonus: &[f64],
-    config: &CliqueRankConfig,
-    pool: Option<&WorkerPool>,
-    arena: &mut MatrixArena,
-    pack: &mut PackScratch,
-) -> Matrix {
-    let nc = members.len();
-    // Mb[i,j] = mean_b[ β·a_ij / (β·a_ij + rowsum_i − a_ij) ]. `mb`
-    // doubles as the accumulator (M¹ = Mb and acc starts at M¹).
-    let mut acc = arena.take(nc, nc);
-    for i in 0..nc {
-        for j in 0..nc {
-            let aij = a.get(i, j);
-            if aij <= 0.0 {
-                continue;
-            }
-            let rest = (row_sums[i] - aij).max(0.0);
-            let mean = bonus
-                .iter()
-                .map(|&beta| beta * aij / (beta * aij + rest))
-                .sum::<f64>()
-                / bonus.len() as f64;
-            acc.set(i, j, mean);
-        }
-    }
-    let mut m = arena.take(nc, nc);
-    m.data_mut().copy_from_slice(acc.data());
-    let mut masked = arena.take(nc, nc);
-    let mut next = arena.take(nc, nc);
-    for _ in 2..=config.steps {
-        apply_neighbor_mask(graph, members, local_of, &m, &mut masked, config);
-        matmul_into(mt, &masked, &mut next, pool, pack);
-        std::mem::swap(&mut m, &mut next);
-        acc.add_assign(&m);
-    }
-    arena.recycle(m);
-    arena.recycle(masked);
-    arena.recycle(next);
-    acc
-}
-
-/// Writes `source ⊙ Mn` into `masked` (sparse copy over edges); with the
-/// mask disabled, copies `source` wholesale. In-place either way — the
-/// recurrences swap `masked` against their iterate rather than clone.
-fn apply_neighbor_mask(
-    graph: &RecordGraph,
-    members: &[u32],
-    local_of: &[u32],
-    source: &Matrix,
-    masked: &mut Matrix,
-    config: &CliqueRankConfig,
-) {
-    if !config.neighbor_mask {
-        masked.reset(source.rows(), source.cols());
-        masked.data_mut().copy_from_slice(source.data());
-        return;
-    }
-    masked.data_mut().fill(0.0);
-    for (li, &g) in members.iter().enumerate() {
-        for &nb in graph.neighbors(g).0 {
-            let lj = local_of[nb as usize] as usize;
-            masked.set(li, lj, source.get(li, lj));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CliqueRankConfig;
+    use crate::config::{CliqueRankConfig, Recurrence};
 
     fn pairs(ps: &[(u32, u32)]) -> Vec<PairNode> {
         ps.iter().map(|&(a, b)| PairNode::new(a, b)).collect()
@@ -909,6 +726,53 @@ mod tests {
                 p.iter().all(|v| (0.0..=1.0).contains(v)),
                 "{boost:?}: {p:?}"
             );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha")]
+    fn alpha_past_the_finite_range_rejected() {
+        // The top quadrature bonus (1 + 15/16)^1074 overflows to
+        // infinity, which would make the probabilities NaN.
+        run(
+            &two_cliques(),
+            &CliqueRankConfig {
+                alpha: 1074.0,
+                ..cfg()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha")]
+    fn infinite_alpha_rejected() {
+        run(
+            &two_cliques(),
+            &CliqueRankConfig {
+                alpha: f64::INFINITY,
+                ..cfg()
+            },
+        );
+    }
+
+    #[test]
+    fn largest_alpha_is_finite_and_equal_on_both_kernels() {
+        // α = 1023 with the largest bonus: (1 + 1)^α = 2^1023 is finite
+        // and each row's largest weight (1/2)^α = 2^-1023 is nonzero.
+        let g = two_cliques();
+        for recurrence in [Recurrence::PaperEq15, Recurrence::FirstPassage] {
+            let mk = |kernel| CliqueRankConfig {
+                alpha: 1023.0,
+                boost: BoostMode::Fixed(1.0),
+                recurrence,
+                kernel,
+                ..cfg()
+            };
+            let dense = run(&g, &mk(Kernel::Dense));
+            let sparse = run(&g, &mk(Kernel::Sparse));
+            assert!(dense.iter().all(|p| p.is_finite()), "{dense:?}");
+            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dense), bits(&sparse), "{recurrence:?}");
         }
     }
 

@@ -136,7 +136,8 @@ pub enum Recurrence {
 /// CliqueRank parameters (§VI-C).
 #[derive(Debug, Clone, Copy)]
 pub struct CliqueRankConfig {
-    /// Non-linear transition exponent α (Eq. 11). Paper: 20.
+    /// Non-linear transition exponent α (Eq. 11). Paper: 20. Must lie in
+    /// `(0, 1024)`, where the `(1 + b)^α` bonus stays finite.
     pub alpha: f64,
     /// Number of walk steps S (the recurrence runs S − 1 products).
     /// Paper: 20.
@@ -155,23 +156,23 @@ pub struct CliqueRankConfig {
     pub kernel: Kernel,
 }
 
-/// How a component's recurrence is materialized.
+/// How a component's recurrence multiplies by `Mt`.
 ///
-/// With the neighbor mask on, every matrix in the recurrence is
-/// edge-supported (`⊙ Mn` zeroes all other entries), so the whole
-/// computation can run on the edge list: for a directed edge `(i→j)`,
-/// `(Mt × masked)[i,j] = Σ_{v ∈ N(i) ∩ N(j)} Mt[i,v] · masked[v,j]`,
-/// computed as a column gather at `Σ_i deg(i)²` multiply-adds per step
-/// instead of `O(n³)`, and stopped early once a step changes nothing.
-/// Exact, not an approximation; on the sparse Restaurant graph it is
-/// orders of magnitude faster, while dense BLAS-style products win on
-/// near-clique components.
+/// Both kernels run one recurrence over the component's edge set and
+/// stop early once a step changes nothing. With the neighbor mask on,
+/// every matrix in it is edge-supported (`⊙ Mn` zeroes all other
+/// entries), so for a directed edge `(i→j)`,
+/// `(Mt × masked)[i,j] = Σ_{v ∈ N(i) ∩ N(j)} Mt[i,v] · masked[v,j]` can
+/// be computed as a column gather at `Σ_i deg(i)²` multiply-adds per
+/// step instead of `O(n³)`. Exact, not an approximation; on the sparse
+/// Restaurant graph it is orders of magnitude faster, while the packed
+/// GEMM wins on near-clique components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
     /// Pick per component by estimated cost (default).
     #[default]
     Auto,
-    /// Always use dense matrix products.
+    /// Always use the packed dense matrix product.
     Dense,
     /// Always use the edgewise sparse recursion (requires the neighbor
     /// mask; falls back to dense when the mask is disabled).

@@ -147,54 +147,6 @@ impl Matrix {
         out
     }
 
-    /// Element-wise (Hadamard) product — the `⊙` of the CliqueRank
-    /// recurrence `M^k = Mt × (M^{k−1} ⊙ Mn)`.
-    pub fn hadamard(&self, rhs: &Self) -> Self {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "hadamard shape mismatch"
-        );
-        let data = self
-            .data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| a * b)
-            .collect();
-        Self {
-            rows: self.rows,
-            cols: self.cols,
-            data,
-        }
-    }
-
-    /// Hadamard product written into `out` (reshaped in place), so the
-    /// recurrence's masking step allocates nothing once `out`'s buffer
-    /// has reached capacity.
-    pub fn hadamard_into(&self, rhs: &Self, out: &mut Self) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "hadamard shape mismatch"
-        );
-        out.reset(self.rows, self.cols);
-        for ((o, a), b) in out.data.iter_mut().zip(&self.data).zip(&rhs.data) {
-            *o = a * b;
-        }
-    }
-
-    /// In-place Hadamard product (avoids the allocation in the hot loop).
-    pub fn hadamard_assign(&mut self, rhs: &Self) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "hadamard shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a *= *b;
-        }
-    }
-
     /// Element-wise sum.
     pub fn add(&self, rhs: &Self) -> Self {
         assert_eq!(
@@ -213,30 +165,6 @@ impl Matrix {
             cols: self.cols,
             data,
         }
-    }
-
-    /// In-place element-wise sum.
-    pub fn add_assign(&mut self, rhs: &Self) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add shape mismatch"
-        );
-        for (a, b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += *b;
-        }
-    }
-
-    /// Scales every element.
-    pub fn scale(&mut self, k: f64) {
-        for v in &mut self.data {
-            *v *= k;
-        }
-    }
-
-    /// Largest absolute element (0 for an empty matrix).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, v| m.max(v.abs()))
     }
 
     /// Checks the structural invariants of the dense form: the buffer
@@ -334,37 +262,19 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_matches_elementwise() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 0.5]]);
-        let h = a.hadamard(&b);
-        assert_eq!(h, Matrix::from_rows(&[&[5.0, 12.0], &[21.0, 2.0]]));
-        let mut c = a.clone();
-        c.hadamard_assign(&b);
-        assert_eq!(c, h);
-    }
-
-    #[test]
-    fn add_and_scale() {
+    fn add_is_elementwise() {
         let a = Matrix::from_rows(&[&[1.0, -1.0]]);
         let b = Matrix::from_rows(&[&[2.0, 3.0]]);
-        let mut s = a.add(&b);
-        assert_eq!(s, Matrix::from_rows(&[&[3.0, 2.0]]));
-        s.scale(2.0);
-        assert_eq!(s, Matrix::from_rows(&[&[6.0, 4.0]]));
-        s.add_assign(&a);
-        assert_eq!(s, Matrix::from_rows(&[&[7.0, 3.0]]));
+        assert_eq!(a.add(&b), Matrix::from_rows(&[&[3.0, 2.0]]));
     }
 
     #[test]
-    fn max_abs_and_approx_eq() {
+    fn approx_eq_respects_tolerance() {
         let a = Matrix::from_rows(&[&[1.0, -3.0], &[2.0, 0.0]]);
-        assert_eq!(a.max_abs(), 3.0);
         let mut b = a.clone();
         b.set(0, 0, 1.0 + 1e-12);
         assert!(a.approx_eq(&b, 1e-9));
         assert!(!a.approx_eq(&b, 1e-15));
-        assert_eq!(Matrix::zeros(0, 0).max_abs(), 0.0);
     }
 
     #[test]
@@ -379,18 +289,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_into_matches_hadamard() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 0.5]]);
-        let mut out = Matrix::zeros(9, 9); // wrong shape on purpose
-        a.hadamard_into(&b, &mut out);
-        assert_eq!(out, a.hadamard(&b));
-    }
-
-    #[test]
     #[should_panic(expected = "shape mismatch")]
-    fn hadamard_rejects_mismatch() {
-        Matrix::zeros(2, 2).hadamard(&Matrix::zeros(2, 3));
+    fn add_rejects_mismatch() {
+        Matrix::zeros(2, 2).add(&Matrix::zeros(2, 3));
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! equivalent substrate: a row-major dense [`Matrix`] with two multiply
 //! kernels — the [`matmul_naive`] oracle and the packed register-tiled
 //! [`matmul_into`] (optionally split across a shared worker pool) — the
-//! Hadamard (element-wise) product used by the
-//! `M^{k−1} ⊙ Mn` masking step, and a CSR sparse matrix for
-//! sparse–dense products on sparse record graphs.
+//! size-bucketed [`MatrixArena`] that lends CliqueRank's GEMM step its
+//! operands, and a CSR sparse matrix, [`CsrMatrix`]. CliqueRank applies
+//! its `⊙ Mn` mask itself, by scattering only the edge set into the
+//! GEMM's operand, and keeps its own per-component CSR for the gather.
 //!
 //! ```
 //! use er_matrix::Matrix;

@@ -62,11 +62,6 @@ proptest! {
     }
 
     #[test]
-    fn hadamard_commutes(a in square(7), b in square(7)) {
-        prop_assert!(a.hadamard(&b).approx_eq(&b.hadamard(&a), 1e-12));
-    }
-
-    #[test]
     fn sparse_round_trip(a in square(8)) {
         // Sparsify: zero out small entries to get genuine sparsity.
         let mut m = a.clone();

@@ -3,11 +3,12 @@
 //! Two subsystems promise zero heap allocations once warm:
 //!
 //! * **CliqueRank recurrence** — after a warm-up solve has grown the
-//!   scratch arena, the pack buffers, and the sparse-kernel CSR scratch
-//!   to their high-water marks, repeating the solve on the same
-//!   component must allocate nothing, on both the dense (packed matmul)
-//!   and the edgewise sparse path, and on a triangle-free component
-//!   whose sparse recurrence exits early.
+//!   scratch arena, the pack buffers, and the edge-set CSR scratch to
+//!   their high-water marks, repeating the solve on the same component
+//!   must allocate nothing, on both the dense (packed matmul) and the
+//!   edgewise sparse step, with the neighbor mask off, and on a
+//!   triangle-free component whose recurrence exits early on either
+//!   step.
 //! * **Batch similarity engine** — after one pass over a pair batch has
 //!   grown `SimScratch` (DP rows, bit-parallel masks, Monge-Elkan memo
 //!   tables, the stamped non-ASCII mask rows), re-scoring the batch on
@@ -111,8 +112,8 @@ fn component_graph() -> RecordGraph {
     RecordGraph::from_pair_scores(n as usize, &pairs, &scores)
 }
 
-/// A triangle-free component: a 24-node even cycle, whose sparse
-/// recurrence exits after its first step.
+/// A triangle-free component: a 24-node even cycle, whose recurrence
+/// exits after its first step.
 fn even_cycle() -> RecordGraph {
     let n = 24u32;
     let pairs: Vec<PairNode> = (0..n).map(|i| PairNode::new(i, (i + 1) % n)).collect();
@@ -128,8 +129,7 @@ fn config(kernel: Kernel) -> CliqueRankConfig {
     }
 }
 
-fn assert_steady_state_alloc_free(graph: &RecordGraph, kernel: Kernel, label: &str) {
-    let cfg = config(kernel);
+fn assert_steady_state_alloc_free(graph: &RecordGraph, cfg: &CliqueRankConfig, label: &str) {
     let comps = graph.components();
     let members = comps
         .members
@@ -145,11 +145,11 @@ fn assert_steady_state_alloc_free(graph: &RecordGraph, kernel: Kernel, label: &s
 
     // Warm-up: grows the arena, pack buffers, and sparse CSR scratch to
     // their high-water marks.
-    solve_component_into(graph, members, &local_of, &cfg, &mut out, &mut scratch);
+    solve_component_into(graph, members, &local_of, cfg, &mut out, &mut scratch);
     let baseline = out.clone();
 
     let allocs = count_allocs(|| {
-        solve_component_into(graph, members, &local_of, &cfg, &mut out, &mut scratch);
+        solve_component_into(graph, members, &local_of, cfg, &mut out, &mut scratch);
     });
     assert_eq!(
         allocs, 0,
@@ -207,8 +207,22 @@ fn assert_batch_scorer_steady_state() {
 
 #[test]
 fn cliquerank_recurrence_steady_state_allocates_nothing() {
-    assert_steady_state_alloc_free(&component_graph(), Kernel::Dense, "dense packed path");
-    assert_steady_state_alloc_free(&component_graph(), Kernel::Sparse, "edgewise sparse path");
-    assert_steady_state_alloc_free(&even_cycle(), Kernel::Sparse, "sparse early exit");
+    let unmasked = CliqueRankConfig {
+        neighbor_mask: false,
+        ..config(Kernel::Dense)
+    };
+    assert_steady_state_alloc_free(
+        &component_graph(),
+        &config(Kernel::Dense),
+        "dense packed path",
+    );
+    assert_steady_state_alloc_free(
+        &component_graph(),
+        &config(Kernel::Sparse),
+        "edgewise sparse path",
+    );
+    assert_steady_state_alloc_free(&component_graph(), &unmasked, "unmasked dense path");
+    assert_steady_state_alloc_free(&even_cycle(), &config(Kernel::Dense), "dense early exit");
+    assert_steady_state_alloc_free(&even_cycle(), &config(Kernel::Sparse), "sparse early exit");
     assert_batch_scorer_steady_state();
 }
