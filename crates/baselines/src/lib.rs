@@ -154,20 +154,6 @@ pub fn evaluate_scorer(
     sweep_scores(pairs, &scores, truth)
 }
 
-/// [`evaluate_scorer`] with the scoring stage on a shared worker pool.
-/// Bit-identical to the serial evaluation (see
-/// [`PairScorer::score_pairs_pooled`]).
-pub fn evaluate_scorer_pooled(
-    scorer: &dyn PairScorer,
-    corpus: &Corpus,
-    pairs: &[PairNode],
-    truth: &TruthPairs,
-    pool: &WorkerPool,
-) -> SweepResult {
-    let scores = scorer.score_pairs_pooled(corpus, pairs, pool); // er-lint: allow(dispatch) -- delegation; the scorer impl decides
-    sweep_scores(pairs, &scores, truth)
-}
-
 /// Sweeps parallel `pairs`/`scores` slices without materializing a
 /// `ScoredPair` buffer.
 pub fn sweep_scores(pairs: &[PairNode], scores: &[f64], truth: &TruthPairs) -> SweepResult {

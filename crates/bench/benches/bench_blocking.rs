@@ -15,16 +15,14 @@
 //! The acceptance bar of the blocking layer is printed as a summary:
 //! the meta strategy's candidates-per-record must stay within 2× across
 //! the ladder (near-linear growth) at ≥ 0.95 pair completeness.
-//! `blocking_smoke` enforces the same invariant as a CI gate at smoke
-//! sizes; this harness measures the full curve.
+//! The `blocking` gate of the `smoke` bench enforces the same invariant
+//! in CI at 20 k and 60 k records; this harness measures the full curve.
 //!
 //! Run: `ER_SCALE=paper cargo bench -p er-bench --bench bench_blocking`.
 
 use std::time::Instant;
 
-use er_bench::{bench_threads, fmt_duration, print_header, scale_factor};
-use er_datasets::generators::census;
-use er_datasets::CensusConfig;
+use er_bench::{bench_threads, census, fmt_duration, print_header, scale_factor};
 use er_obs::{BenchFile, BenchRun};
 use er_pool::WorkerPool;
 use er_text::blocking::{reduction_ratio, BlockingStrategy, MetaBlocking};
@@ -94,11 +92,7 @@ fn main() {
     let mut meta_curve: Vec<(usize, f64, f64)> = Vec::new();
     for base in SIZES {
         let n = er_datasets::scaled(base, scale);
-        let dataset = census::generate(&CensusConfig {
-            records: n,
-            duplicate_rate: 0.2,
-            seed: 0xCE_0505,
-        });
+        let dataset = census(n);
         let corpus = CorpusBuilder::new()
             .extend_texts(dataset.texts())
             .max_df_fraction(DEFAULT_MAX_DF_FRACTION)

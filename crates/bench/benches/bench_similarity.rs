@@ -26,25 +26,12 @@
 //! to `BENCH_similarity.json` in the current directory (override with
 //! `ER_BENCH_OUT`); `cargo xtask bench-diff` consumes it in CI.
 
-use std::time::Instant;
-
-use er_bench::{bench_datasets, prepare, scale_factor};
+use er_bench::{bench_datasets, prepare, scale_factor, time_min};
 use er_obs::{BenchFile, BenchRun, GaugeStat};
 use er_pool::WorkerPool;
 use er_text::{BatchScorer, SimKernel};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Best-of-`reps` wall time of `f`.
-fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
 
 /// Resets the registry, runs `f`, and freezes the snapshot into a run.
 fn recorded_run(

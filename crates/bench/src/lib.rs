@@ -15,10 +15,12 @@
 
 #![deny(unsafe_code)]
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use er_core::FusionConfig;
-use er_datasets::{generators, Dataset, PaperConfig, ProductConfig, RestaurantConfig};
+use er_datasets::{
+    generators, CensusConfig, Dataset, PaperConfig, ProductConfig, RestaurantConfig,
+};
 use er_eval::TruthPairs;
 use er_graph::bipartite::PairNode;
 use er_text::Corpus;
@@ -83,6 +85,16 @@ pub fn bench_datasets(scale: f64) -> Vec<BenchDataset> {
     ]
 }
 
+/// The census dataset every census bench draws from: `records` records,
+/// 20 % duplicates, seed `0xCE_0505`.
+pub fn census(records: usize) -> Dataset {
+    generators::census::generate(&CensusConfig {
+        records,
+        duplicate_rate: 0.2,
+        seed: 0xCE_0505,
+    })
+}
+
 /// Prepares a bench dataset (tokenize + candidate graph + truth).
 pub fn prepare(bench: &BenchDataset) -> Prepared {
     pipeline::prepare_with(&bench.dataset, bench.max_df_fraction)
@@ -92,6 +104,17 @@ pub fn prepare(bench: &BenchDataset) -> Prepared {
 /// (α = 20, S = 20, η = 0.98, 5 rounds) with the machine's thread count.
 pub fn fusion_config() -> FusionConfig {
     FusionConfig::default()
+}
+
+/// Best-of-`reps` wall time of `f`, in seconds.
+pub fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64());
+    }
+    best
 }
 
 /// Formats a `Duration` compactly ("1.2s", "340ms").

@@ -104,11 +104,9 @@ pub fn run_cliquerank(
     pool: &WorkerPool,
     cache: Option<&mut CliqueRankCache>,
 ) -> Vec<f64> {
-    assert!(config.alpha > 0.0, "alpha must be positive");
-    // Below 2^10, (1 + b)^α is finite for every b ∈ [0, 1] and no row's
-    // largest weight (1/2)^α underflows.
-    assert!(config.alpha < 1024.0, "alpha must be below 1024");
-    assert!(config.steps >= 1, "need at least one step");
+    if let Err(e) = config.validate() {
+        panic!("{e}"); // er-lint: allow(panic) -- an invalid config is a caller bug; `validate` checks it up front
+    }
     let comps = graph.components();
     let solvable: Vec<&[u32]> = comps
         .members

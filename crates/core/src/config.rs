@@ -193,6 +193,22 @@ impl Default for CliqueRankConfig {
     }
 }
 
+impl CliqueRankConfig {
+    /// Checks the bounds [`crate::run_cliquerank`] asserts: `α` in
+    /// `(0, 1024)` and at least one step.
+    pub fn validate(&self) -> Result<(), String> {
+        // Below 2^10, (1 + b)^α is finite for every b ∈ [0, 1] and no
+        // row's largest weight (1/2)^α underflows.
+        if !(self.alpha > 0.0 && self.alpha < 1024.0) {
+            return Err(format!("alpha must lie in (0, 1024), got {}", self.alpha));
+        }
+        if self.steps < 1 {
+            return Err("need at least one step".to_owned());
+        }
+        Ok(())
+    }
+}
+
 /// Fusion-loop parameters (§IV, §VII-C).
 #[derive(Debug, Clone)]
 pub struct FusionConfig {
@@ -257,6 +273,22 @@ impl Default for FusionConfig {
             threads: default_threads(),
             dispatch: er_pool::DispatchPolicy::from_env(),
         }
+    }
+}
+
+impl FusionConfig {
+    /// Checks the bounds [`crate::Resolver`] asserts: those of
+    /// [`CliqueRankConfig::validate`], at least one round and `η` in
+    /// `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        self.cliquerank.validate()?;
+        if self.rounds < 1 {
+            return Err("need at least one fusion round".to_owned());
+        }
+        if !(0.0..=1.0).contains(&self.eta) {
+            return Err(format!("eta must be a probability, got {}", self.eta));
+        }
+        Ok(())
     }
 }
 

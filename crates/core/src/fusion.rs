@@ -161,8 +161,9 @@ impl Resolver {
             );
         }
         let cfg = &self.config;
-        assert!(cfg.rounds >= 1, "need at least one fusion round");
-        assert!((0.0..=1.0).contains(&cfg.eta), "eta must be a probability");
+        if let Err(e) = cfg.validate() {
+            panic!("{e}"); // er-lint: allow(panic) -- an invalid config is a caller bug; `validate` checks it up front
+        }
         let _fusion_span = er_obs::span("fusion");
         let pool = WorkerPool::with_policy(cfg.threads, cfg.dispatch);
         let n_pairs = graph.pair_count();

@@ -181,23 +181,6 @@ pub const PUBLISHERS: &[&str] = &[
     "aaai press menlo park",
 ];
 
-/// Months appearing in proceedings renderings — mid-frequency glue
-/// tokens shared by unrelated citations.
-pub const MONTHS: &[&str] = &[
-    "january",
-    "february",
-    "march",
-    "april",
-    "may",
-    "june",
-    "july",
-    "august",
-    "september",
-    "october",
-    "november",
-    "december",
-];
-
 const CONSONANT_ONSETS: &[&str] = &[
     "b", "c", "d", "f", "g", "h", "j", "k", "l", "m", "n", "p", "r", "s", "t", "v", "w", "z", "br",
     "ch", "cl", "cr", "dr", "fl", "fr", "gr", "pl", "pr", "sh", "sl", "st", "th", "tr",

@@ -799,8 +799,8 @@ pub mod reference {
     //! The original `HashMap`-based mutual recursion, retained verbatim
     //! as the correctness oracle for the CSR-flattened kernel (bit-
     //! identity is test-enforced in `prop_simrank.rs`) and as the
-    //! baseline the `simrank_smoke` bench gate times against. Not a hot
-    //! path — use [`super::bipartite_simrank`].
+    //! baseline the `simrank` gate of the `smoke` bench times against.
+    //! Not a hot path — use [`super::bipartite_simrank`].
 
     use std::collections::HashMap;
 

@@ -161,6 +161,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
         }
     }
+    opts.config.validate()?;
     Ok(opts)
 }
 
@@ -348,6 +349,23 @@ mod tests {
     #[test]
     fn rejects_bad_number() {
         assert!(parse_options(&args(&["d.tsv", "--eta", "high"])).is_err());
+    }
+
+    #[test]
+    fn rejects_out_of_range_parameters() {
+        for (option, value) in [
+            ("--alpha", "2000"),
+            ("--alpha", "1024"),
+            ("--alpha", "0"),
+            ("--alpha", "NaN"),
+            ("--steps", "0"),
+            ("--rounds", "0"),
+            ("--eta", "1.5"),
+            ("--eta", "NaN"),
+        ] {
+            let parsed = parse_options(&args(&["d.tsv", option, value]));
+            assert!(parsed.is_err(), "{option} {value} accepted");
+        }
     }
 
     #[test]
