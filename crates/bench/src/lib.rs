@@ -21,9 +21,7 @@ use er_core::FusionConfig;
 use er_datasets::{
     generators, CensusConfig, Dataset, PaperConfig, ProductConfig, RestaurantConfig,
 };
-use er_eval::TruthPairs;
 use er_graph::bipartite::PairNode;
-use er_text::Corpus;
 use unsupervised_er::pipeline::{self, Prepared};
 
 /// Worker-thread count for pooled bench paths: `ER_THREADS` if set (the
@@ -151,17 +149,6 @@ pub fn scored_pairs(pairs: &[PairNode], scores: &[f64]) -> Vec<er_eval::ScoredPa
             score,
         })
         .collect()
-}
-
-/// Runs a baseline scorer through the paper's 1000-quantum optimal
-/// threshold sweep.
-pub fn sweep_baseline(
-    scorer: &dyn er_baselines::PairScorer,
-    corpus: &Corpus,
-    pairs: &[PairNode],
-    truth: &TruthPairs,
-) -> er_eval::SweepResult {
-    er_baselines::evaluate_scorer(scorer, corpus, pairs, truth)
 }
 
 /// Paper-reported Table II reference row.

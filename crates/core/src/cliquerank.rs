@@ -38,8 +38,8 @@
 //! `M^k = Mt × (M^{k−1} ⊙ Mn)`, `p = Σ_k …`), the one that
 //! reproduces its Table II: it boosts only the hop entering the target
 //! and uses the unboosted `Mt` elsewhere, so rows whose edges are all
-//! weak-but-equal over-count and need clamping (see `ablation_recurrence`
-//! bench and DESIGN.md §3.3).
+//! weak-but-equal over-count and need clamping (see the first-passage
+//! row of the `ablation_components` bench and DESIGN.md §3.3).
 //!
 //! # Block decomposition and kernels
 //!

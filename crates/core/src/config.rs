@@ -129,7 +129,7 @@ pub enum Recurrence {
     /// non-target transitions too) and guarantees per-direction
     /// probabilities ≤ 1; it matches RSS within sampling error but is
     /// more conservative than Eq. 15 inside large heterogeneous cliques
-    /// (see the `ablation_recurrence` bench).
+    /// (see the first-passage row of the `ablation_components` bench).
     FirstPassage,
 }
 
@@ -236,11 +236,6 @@ pub struct FusionConfig {
     /// reinforcement rounds. Set to `1` to reproduce the raw
     /// construction (see the ablation benches and DESIGN.md §6).
     pub min_shared_terms: usize,
-    /// Optional absolute ITER-similarity floor for record-graph edges
-    /// (`0.0` disables). Unlike [`Self::min_shared_terms`] this is not
-    /// scale-invariant across reinforcement rounds; it exists for
-    /// ablation experiments.
-    pub min_similarity: f64,
     /// Record each round's probability vector (needed by the Table V
     /// bench; costs `rounds × pairs` floats).
     pub record_round_probabilities: bool,
@@ -268,7 +263,6 @@ impl Default for FusionConfig {
             rounds: 5,
             eta: 0.98,
             min_shared_terms: 2,
-            min_similarity: 0.0,
             record_round_probabilities: false,
             threads: default_threads(),
             dispatch: er_pool::DispatchPolicy::from_env(),

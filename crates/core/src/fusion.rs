@@ -182,10 +182,10 @@ impl Resolver {
         let mut round_probabilities = Vec::new();
         let mut last_iter = None;
         // Round-loop sweep buffers, allocated once and reused: the ITER
-        // scratch recycles the previous round's outcome, `floored` and
+        // scratch recycles the previous round's outcome, `gr_scores` and
         // `new_prob` are refilled in place.
         let mut iter_scratch = IterScratch::new();
-        let mut floored = vec![0.0f64; n_pairs];
+        let mut gr_scores = vec![0.0f64; n_pairs];
         let mut new_prob = vec![0.0f64; n_pairs];
 
         for round in 1..=cfg.rounds {
@@ -203,23 +203,20 @@ impl Resolver {
             let t1 = Instant::now();
             let (gr, edge_probs) = {
                 let _span = er_obs::span("cliquerank");
-                // Admission rules: structural shared-term minimum plus the
-                // optional absolute similarity floor (ablation only).
-                for ((slot, &s), &ok) in floored
+                // Admission rule: the structural shared-term minimum. A
+                // pair it rejects scores 0, and `RecordGraph` keeps only
+                // positive scores.
+                for ((slot, &s), &ok) in gr_scores
                     .iter_mut()
                     .zip(&iter_out.pair_similarities)
                     .zip(&admitted)
                 {
-                    *slot = if ok && s + 1e-9 >= cfg.min_similarity {
-                        s
-                    } else {
-                        0.0
-                    };
+                    *slot = if ok { s } else { 0.0 };
                 }
                 let gr = RecordGraph::from_pair_scores_pooled(
                     graph.record_count(),
                     graph.pairs(),
-                    &floored,
+                    &gr_scores,
                     &pool,
                 );
                 let edge_probs = {
@@ -238,7 +235,7 @@ impl Resolver {
             for (pair, &p) in gr.pairs().iter().zip(&edge_probs) {
                 let idx = graph
                     .pair_id(pair.a, pair.b)
-                    .expect("record-graph edge must be a bipartite pair"); // er-lint: allow(panic) -- Gr edges are built from bipartite pairs above the floor
+                    .expect("record-graph edge must be a bipartite pair"); // er-lint: allow(panic) -- Gr edges are built from bipartite pairs
                 new_prob[idx as usize] = p;
             }
             let probability_delta = prob.iter().zip(&new_prob).map(|(a, b)| (a - b).abs()).sum();

@@ -197,10 +197,14 @@ mod tests {
 
     #[test]
     fn drops_zero_similarity_pairs() {
-        let p = pairs(&[(0, 1), (1, 2)]);
-        let g = RecordGraph::from_pair_scores(3, &p, &[0.5, 0.0]);
+        // Only positive scores become edges: zero, a tiny negative
+        // (rounding below zero) and NaN are all dropped.
+        let p = pairs(&[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let g = RecordGraph::from_pair_scores(5, &p, &[0.5, 0.0, -1e-12, f64::NAN]);
         assert_eq!(g.edge_count(), 1);
         assert!(!g.has_edge(1, 2));
+        assert!(!g.has_edge(2, 3));
+        assert!(!g.has_edge(3, 4));
         assert_eq!(g.pairs().len(), 1);
     }
 

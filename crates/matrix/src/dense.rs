@@ -197,31 +197,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// Checks that every row is a probability distribution: entries in
-    /// `[0, 1]` and each row summing to 1 within `tol`, or to exactly 0
-    /// (a dangling node's row). This is the contract of the CliqueRank
-    /// transition matrix `Mt` entering the power recurrence.
-    pub fn validate_row_stochastic(&self, tol: f64) -> Result<(), InvariantViolation> {
-        self.validate()?;
-        for r in 0..self.rows {
-            let row = self.row(r);
-            if let Some(&v) = row.iter().find(|v| !(0.0..=1.0 + tol).contains(*v)) {
-                return Err(InvariantViolation::new(
-                    "Matrix",
-                    format!("row {r} has transition probability {v} outside [0, 1]"),
-                ));
-            }
-            let sum: f64 = row.iter().sum();
-            if sum != 0.0 && (sum - 1.0).abs() > tol {
-                return Err(InvariantViolation::new(
-                    "Matrix",
-                    format!("row {r} sums to {sum} (want 1 ± {tol} or exactly 0)"),
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// True when all elements differ by at most `tol`.
     pub fn approx_eq(&self, rhs: &Self, tol: f64) -> bool {
         self.rows == rhs.rows

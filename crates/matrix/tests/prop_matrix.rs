@@ -1,7 +1,7 @@
 //! Property tests for the matrix kernels: algebraic identities checked
 //! against the naive reference implementation.
 
-use er_matrix::{matmul_into, matmul_naive, CsrMatrix, Matrix, PackScratch};
+use er_matrix::{matmul_into, matmul_naive, Matrix, PackScratch};
 use er_pool::{DispatchPolicy, WorkerPool};
 use proptest::prelude::*;
 
@@ -59,50 +59,5 @@ proptest! {
         let i = Matrix::identity(8);
         prop_assert!(a.matmul(&i).approx_eq(&a, 1e-12));
         prop_assert!(i.matmul(&a).approx_eq(&a, 1e-12));
-    }
-
-    #[test]
-    fn sparse_round_trip(a in square(8)) {
-        // Sparsify: zero out small entries to get genuine sparsity.
-        let mut m = a.clone();
-        for v in m.data_mut() {
-            if v.abs() < 1.0 {
-                *v = 0.0;
-            }
-        }
-        let s = CsrMatrix::from_dense(&m);
-        prop_assert!(s.to_dense().approx_eq(&m, 0.0));
-        prop_assert_eq!(s.nnz(), m.data().iter().filter(|v| **v != 0.0).count());
-    }
-
-    #[test]
-    fn sparse_times_dense_equals_dense_product(a in square(8), b in square(8)) {
-        let mut m = a.clone();
-        for v in m.data_mut() {
-            if v.abs() < 1.0 {
-                *v = 0.0;
-            }
-        }
-        let s = CsrMatrix::from_dense(&m);
-        let sparse_prod = s.matmul_dense(&b);
-        let dense_prod = matmul_naive(&m, &b);
-        prop_assert!(sparse_prod.approx_eq(&dense_prod, 1e-10));
-    }
-
-    #[test]
-    fn matvec_is_single_column_matmul(a in square(8), x in proptest::collection::vec(-2.0f64..2.0, 8)) {
-        let mut m = a.clone();
-        for v in m.data_mut() {
-            if v.abs() < 0.8 {
-                *v = 0.0;
-            }
-        }
-        let s = CsrMatrix::from_dense(&m);
-        let y = s.matvec(&x);
-        let col = Matrix::from_vec(8, 1, x.clone());
-        let y2 = matmul_naive(&m, &col);
-        for (i, &v) in y.iter().enumerate() {
-            prop_assert!((v - y2.get(i, 0)).abs() < 1e-10);
-        }
     }
 }

@@ -1,137 +1,12 @@
-//! Property tests for the structural invariant validators: every
-//! constructed matrix passes `validate()`, and targeted corruptions
-//! (through the non-validating `from_raw_parts` seam) are caught.
+//! Property tests for the dense structural validator that `matmul_into`
+//! runs on its operands under `debug_assertions`: every finite matrix
+//! passes `Matrix::validate()`, and one injected NaN is caught.
 
-use er_matrix::{CsrMatrix, Matrix};
+use er_matrix::Matrix;
 use proptest::prelude::*;
-
-/// Random sparse occupancy with positive finite values.
-fn csr(rows: usize, cols: usize, max_nnz: usize) -> impl Strategy<Value = CsrMatrix> {
-    proptest::collection::btree_set((0..rows as u32, 0..cols as u32), 0..max_nnz).prop_map(
-        move |set| {
-            let triplets: Vec<(u32, u32, f64)> = set
-                .into_iter()
-                .enumerate()
-                .map(|(i, (r, c))| (r, c, 0.1 + (i % 7) as f64 * 0.3))
-                .collect();
-            CsrMatrix::from_triplets(rows, cols, &triplets)
-        },
-    )
-}
-
-/// Pulls the CSR arrays back out of a valid matrix so mutations can be
-/// reassembled through `from_raw_parts`.
-fn raw_parts(m: &CsrMatrix) -> (Vec<usize>, Vec<u32>, Vec<f64>) {
-    let mut indptr = vec![0usize];
-    let mut indices = Vec::new();
-    let mut values = Vec::new();
-    for r in 0..m.rows() {
-        let (cols, vals) = m.row(r);
-        indices.extend_from_slice(cols);
-        values.extend_from_slice(vals);
-        indptr.push(indices.len());
-    }
-    (indptr, indices, values)
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn constructed_csr_validates(m in csr(9, 7, 30)) {
-        prop_assert!(m.validate().is_ok());
-    }
-
-    #[test]
-    fn round_tripped_raw_parts_validate(m in csr(9, 7, 30)) {
-        let (indptr, indices, values) = raw_parts(&m);
-        let rebuilt = CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values);
-        prop_assert!(rebuilt.validate().is_ok());
-    }
-
-    #[test]
-    fn swapped_column_indices_fail(m in csr(9, 7, 30)) {
-        // Need one row with two entries to unsort.
-        let Some(victim) = (0..m.rows()).find(|&r| m.row(r).0.len() >= 2) else {
-            return;
-        };
-        let start: usize = (0..victim).map(|r| m.row(r).0.len()).sum();
-        let (indptr, mut indices, values) = raw_parts(&m);
-        indices.swap(start, start + 1);
-        let bad = CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values);
-        prop_assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn injected_nan_fails(m in csr(9, 7, 30), pick in 0usize..1024) {
-        if m.nnz() == 0 {
-            return;
-        }
-        let (indptr, indices, mut values) = raw_parts(&m);
-        let i = pick % values.len();
-        values[i] = f64::NAN;
-        let bad = CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values);
-        prop_assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn out_of_bounds_column_fails(m in csr(9, 7, 30)) {
-        // Push the last entry of some non-empty row past `cols`.
-        let Some(victim) = (0..m.rows()).find(|&r| !m.row(r).0.is_empty()) else {
-            return;
-        };
-        let end: usize = (0..=victim).map(|r| m.row(r).0.len()).sum();
-        let (indptr, mut indices, values) = raw_parts(&m);
-        indices[end - 1] = m.cols() as u32;
-        let bad = CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values);
-        prop_assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn inconsistent_indptr_fails(m in csr(9, 7, 30)) {
-        let (mut indptr, indices, values) = raw_parts(&m);
-        *indptr.last_mut().unwrap() += 1;
-        let bad = CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values);
-        prop_assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn normalized_rows_are_row_stochastic(occupancy in proptest::collection::vec(
-        proptest::collection::btree_set(0u32..8, 0..6), 1..8)
-    ) {
-        let triplets: Vec<(u32, u32, f64)> = occupancy
-            .iter()
-            .enumerate()
-            .flat_map(|(r, cols)| {
-                let w = 1.0 / cols.len().max(1) as f64;
-                cols.iter().map(move |&c| (r as u32, c, w)).collect::<Vec<_>>()
-            })
-            .collect();
-        let m = CsrMatrix::from_triplets(occupancy.len(), 8, &triplets);
-        prop_assert!(m.validate_row_stochastic(1e-9).is_ok());
-    }
-
-    #[test]
-    fn perturbed_row_sum_is_not_row_stochastic(occupancy in proptest::collection::vec(
-        proptest::collection::btree_set(0u32..8, 0..6), 1..8)
-    ) {
-        if occupancy.iter().all(std::collections::BTreeSet::is_empty) {
-            return;
-        }
-        let triplets: Vec<(u32, u32, f64)> = occupancy
-            .iter()
-            .enumerate()
-            .flat_map(|(r, cols)| {
-                let w = 1.0 / cols.len().max(1) as f64;
-                cols.iter().map(move |&c| (r as u32, c, w)).collect::<Vec<_>>()
-            })
-            .collect();
-        let m = CsrMatrix::from_triplets(occupancy.len(), 8, &triplets);
-        let (indptr, indices, mut values) = raw_parts(&m);
-        values[0] *= 1.5;
-        let bad = CsrMatrix::from_raw_parts(m.rows(), m.cols(), indptr, indices, values);
-        prop_assert!(bad.validate_row_stochastic(1e-9).is_err());
-    }
 
     #[test]
     fn dense_finite_validates(a in proptest::collection::vec(-2.0f64..2.0, 6 * 5)) {
@@ -146,20 +21,5 @@ proptest! {
         let i = pick % m.data().len();
         m.data_mut()[i] = f64::NAN;
         prop_assert!(m.validate().is_err());
-    }
-
-    #[test]
-    fn dense_normalized_rows_are_row_stochastic(a in proptest::collection::vec(0.01f64..2.0, 6 * 5)) {
-        let mut m = Matrix::from_vec(6, 5, a);
-        for r in 0..6 {
-            let sum: f64 = (0..5).map(|c| m.get(r, c)).sum();
-            for c in 0..5 {
-                let v = m.get(r, c) / sum;
-                m.set(r, c, v);
-            }
-        }
-        prop_assert!(m.validate_row_stochastic(1e-9).is_ok());
-        m.set(0, 0, m.get(0, 0) + 0.1);
-        prop_assert!(m.validate_row_stochastic(1e-9).is_err());
     }
 }

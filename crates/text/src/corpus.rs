@@ -180,6 +180,18 @@ pub fn count_intersect_sorted(a: &[TermId], b: &[TermId]) -> usize {
     n
 }
 
+/// Checks a frequent-term cap: a fraction of the corpus size in
+/// `[0, 1]` (NaN fails). [`CorpusBuilder::max_df_fraction`] and
+/// [`crate::StreamingCorpus::materialize`] panic through it, so callers
+/// taking the cap from input check it up front.
+pub fn validate_max_df_fraction(fraction: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&fraction) {
+        Ok(())
+    } else {
+        Err(format!("max_df_fraction must be in [0, 1], got {fraction}"))
+    }
+}
+
 /// Builds a [`Corpus`] from raw record texts.
 #[derive(Debug, Default)]
 pub struct CorpusBuilder {
@@ -213,10 +225,9 @@ impl CorpusBuilder {
     /// corpus size (§VII-A's "very frequent" filter). A typical value for
     /// the benchmark datasets is `0.1`.
     pub fn max_df_fraction(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "max_df_fraction must be in [0, 1], got {fraction}"
-        );
+        if let Err(e) = validate_max_df_fraction(fraction) {
+            panic!("{e}"); // er-lint: allow(panic) -- an out-of-range cap is a caller bug; `validate_max_df_fraction` checks it up front
+        }
         self.max_df_fraction = Some(fraction);
         self
     }

@@ -66,7 +66,7 @@ pub use blocking::{
     seed_similarities, sorted_neighborhood, token_blocking, BlockingStrategy, MetaBlocking,
     DEFAULT_MAX_DF_FRACTION, SEED_KERNEL,
 };
-pub use corpus::{Corpus, CorpusBuilder};
+pub use corpus::{validate_max_df_fraction, Corpus, CorpusBuilder};
 pub use lsh::{
     lsh_blocking, minhash_band_keys, minhash_band_keys_cached, LshParams, SignatureCache,
 };

@@ -18,7 +18,7 @@
 //! bit-identity guarantee rests on (pinned by the tests below and
 //! `tests/prop_streaming.rs`).
 
-use crate::corpus::Corpus;
+use crate::corpus::{validate_max_df_fraction, Corpus};
 use crate::tokenize::{TermId, Vocabulary};
 
 /// An append-only corpus accumulator: ingest texts, materialize a
@@ -63,10 +63,9 @@ impl StreamingCorpus {
     /// same order with the same `max_df_fraction` — same vocabulary,
     /// token lists, term sets, postings and removed-term list.
     pub fn materialize(&self, max_df_fraction: f64) -> Corpus {
-        assert!(
-            (0.0..=1.0).contains(&max_df_fraction),
-            "max_df_fraction must be in [0, 1], got {max_df_fraction}"
-        );
+        if let Err(e) = validate_max_df_fraction(max_df_fraction) {
+            panic!("{e}"); // er-lint: allow(panic) -- an out-of-range cap is a caller bug; `validate_max_df_fraction` checks it up front
+        }
         let _span = er_obs::span("streaming.materialize");
         Corpus::from_interned(
             self.vocab.clone(),

@@ -28,6 +28,7 @@ use std::process::ExitCode;
 
 use er_core::{FusionConfig, Resolver};
 use er_datasets::{generators, loader, Dataset, SourcePolicy};
+use er_text::validate_max_df_fraction;
 use unsupervised_er::pipeline;
 
 fn main() -> ExitCode {
@@ -161,6 +162,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             }
         }
     }
+    validate_max_df_fraction(opts.max_df)?;
     opts.config.validate()?;
     Ok(opts)
 }
@@ -362,6 +364,9 @@ mod tests {
             ("--rounds", "0"),
             ("--eta", "1.5"),
             ("--eta", "NaN"),
+            ("--max-df", "1.5"),
+            ("--max-df", "-0.1"),
+            ("--max-df", "NaN"),
         ] {
             let parsed = parse_options(&args(&["d.tsv", option, value]));
             assert!(parsed.is_err(), "{option} {value} accepted");
