@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use er_bench::{bench_threads, census, fmt_duration, print_header, scale_factor};
+use er_bench::{bench_threads, census, dispatch_mode, fmt_duration, print_header, scale_factor};
 use er_obs::{BenchFile, BenchRun};
 use er_pool::WorkerPool;
 use er_text::blocking::{reduction_ratio, BlockingStrategy, MetaBlocking};
@@ -112,13 +112,6 @@ fn main() {
             let report = er_obs::snapshot();
             drop(graph);
             let pairs = strategy.candidate_pairs(&corpus, &pool);
-            let dispatch_mode = if report.counter("pool.dispatch.parallel") > 0 {
-                Some("pooled".to_owned())
-            } else if report.counter("pool.dispatch.serial_inline") > 0 {
-                Some("serial-inline".to_owned())
-            } else {
-                None
-            };
             let rr = reduction_ratio(n, pairs.len());
             let pc = pair_completeness(&pairs, &truth);
             let cpr = pairs.len() as f64 / n as f64;
@@ -141,7 +134,7 @@ fn main() {
                 mode: mode.to_owned(),
                 threads: threads as u64,
                 scaling_ratio: None,
-                dispatch_mode,
+                dispatch_mode: dispatch_mode(&report),
                 reduction_ratio: Some(rr),
                 pair_completeness: Some(pc),
                 report,

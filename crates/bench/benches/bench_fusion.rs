@@ -8,17 +8,15 @@
 //! resulting
 //! [`er_obs::Report`] snapshot — phase span tree (`fusion`,
 //! `fusion/iter`, `fusion/cliquerank`, nested sweeps), per-worker pool
-//! utilization, and the pipeline's cache/solver counters — becomes one
+//! utilization, and the pipeline's solver counters — becomes one
 //! [`BenchRun`] in the output file. Every parallel path is bit-identical
 //! to the serial one, so runs across thread counts time the *same*
 //! computation; outcome equality is asserted.
 //!
 //! Three extra run families ride along:
 //!
-//! * `cliquerank_cache` (modes `cold`/`warm`) — one cached CliqueRank
-//!   pass per dataset with a fresh [`CliqueRankCache`], then a second
-//!   pass on the populated cache; the registry's
-//!   `cliquerank_cache_{hits,misses}_total` counters land in each report.
+//! * `cliquerank` (mode `round1`) — one CliqueRank solve per dataset of
+//!   the round-1 record graph, timed by the `cliquerank_solve` span.
 //! * `steady_alloc` — repeat solve of the dataset's largest component on
 //!   warm scratch with the binary's counting allocator armed; the
 //!   `cliquerank_steady_allocs` gauge must be 0 (the zero-allocation
@@ -36,10 +34,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-use er_bench::{bench_datasets, fusion_config, prepare, scale_factor};
-use er_core::{
-    run_cliquerank, run_iter, solve_component_into, CliqueRankCache, CliqueScratch, Resolver,
-};
+use er_bench::{bench_datasets, fusion_config, prepare, recorded_run, scale_factor};
+use er_core::{run_cliquerank, run_iter, solve_component_into, CliqueScratch, Resolver};
 use er_graph::RecordGraph;
 use er_matrix::Matrix;
 use er_obs::{BenchFile, BenchRun, GaugeStat, Report, SpanStat};
@@ -76,40 +72,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Resets the registry, runs `f`, and freezes the snapshot into a run.
-/// The run's `dispatch_mode` is derived from the pool's dispatch
-/// counters: `pooled` if any region fanned out, `serial-inline` if every
-/// decision stayed on the caller thread, unset if nothing dispatched.
-fn recorded_run(
-    label: &str,
-    dataset: &str,
-    mode: &str,
-    threads: usize,
-    f: impl FnOnce(),
-) -> BenchRun {
-    er_obs::reset();
-    f();
-    let report = er_obs::snapshot();
-    let dispatch_mode = if report.counter("pool.dispatch.parallel") > 0 {
-        Some("pooled".to_owned())
-    } else if report.counter("pool.dispatch.serial_inline") > 0 {
-        Some("serial-inline".to_owned())
-    } else {
-        None
-    };
-    BenchRun {
-        label: label.to_owned(),
-        dataset: dataset.to_owned(),
-        mode: mode.to_owned(),
-        threads: threads as u64,
-        scaling_ratio: None,
-        dispatch_mode,
-        reduction_ratio: None,
-        pair_completeness: None,
-        report,
-    }
-}
 
 fn span_seconds(report: &Report, path: &str) -> f64 {
     report.span(path).map_or(0.0, SpanStat::total_seconds)
@@ -194,7 +156,7 @@ fn main() {
             );
             file.runs.push(run);
         }
-        cache_and_alloc_runs(&prepared.graph, &name, &mut file);
+        cliquerank_and_alloc_runs(&prepared.graph, &name, &mut file);
     }
     matmul_runs(&mut file);
     er_obs::set_recording(false);
@@ -204,9 +166,9 @@ fn main() {
     println!("wrote {} runs to {out_path}", file.runs.len());
 }
 
-/// Cached-CliqueRank cold/warm runs (hit/miss counters land in the
-/// reports) and the steady-state allocation gauge for one dataset.
-fn cache_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file: &mut BenchFile) {
+/// One CliqueRank solve of the round-1 record graph and the
+/// steady-state allocation gauge for one dataset.
+fn cliquerank_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file: &mut BenchFile) {
     let cfg = fusion_config();
     let cr = cfg.cliquerank;
     let pool = WorkerPool::new(1);
@@ -220,31 +182,16 @@ fn cache_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file: &mut
         &iter_out.pair_similarities,
     );
 
-    let mut cache = CliqueRankCache::new();
-    let mut cold = Vec::new();
-    let cold_run = recorded_run("cliquerank_cache", name, "cold", 1, || {
-        let (out, _) = er_obs::time("cliquerank_cache_solve", || {
-            run_cliquerank(&gr, &cr, &pool, Some(&mut cache))
+    let solve_run = recorded_run("cliquerank", name, "round1", 1, || {
+        er_obs::time("cliquerank_solve", || {
+            std::hint::black_box(run_cliquerank(&gr, &cr, &pool))
         });
-        cold = out;
     });
-    let mut warm = Vec::new();
-    let warm_run = recorded_run("cliquerank_cache", name, "warm", 1, || {
-        let (out, _) = er_obs::time("cliquerank_cache_solve", || {
-            run_cliquerank(&gr, &cr, &pool, Some(&mut cache))
-        });
-        warm = out;
-    });
-    assert_eq!(cold, warm, "cache replay must be exact on {name}");
     println!(
-        "  {name:<12} cache cold {:.3}s → warm {:.3}s  ({} hits / {} misses cumulative)",
-        span_seconds(&cold_run.report, "cliquerank_cache_solve"),
-        span_seconds(&warm_run.report, "cliquerank_cache_solve"),
-        cache.hits(),
-        cache.misses()
+        "  {name:<12} cliquerank solve {:.3}s",
+        span_seconds(&solve_run.report, "cliquerank_solve"),
     );
-    file.runs.push(cold_run);
-    file.runs.push(warm_run);
+    file.runs.push(solve_run);
 
     // Steady-state allocation count: repeat solve of the largest
     // component on warm scratch must allocate nothing. Recording is

@@ -26,43 +26,12 @@
 //! to `BENCH_similarity.json` in the current directory (override with
 //! `ER_BENCH_OUT`); `cargo xtask bench-diff` consumes it in CI.
 
-use er_bench::{bench_datasets, prepare, scale_factor, time_min};
-use er_obs::{BenchFile, BenchRun, GaugeStat};
+use er_bench::{bench_datasets, prepare, recorded_run, scale_factor, time_min};
+use er_obs::{BenchFile, GaugeStat};
 use er_pool::WorkerPool;
 use er_text::{BatchScorer, SimKernel};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
-/// Resets the registry, runs `f`, and freezes the snapshot into a run.
-fn recorded_run(
-    label: &str,
-    dataset: &str,
-    mode: &str,
-    threads: usize,
-    f: impl FnOnce(),
-) -> BenchRun {
-    er_obs::reset();
-    f();
-    let report = er_obs::snapshot();
-    let dispatch_mode = if report.counter("pool.dispatch.parallel") > 0 {
-        Some("pooled".to_owned())
-    } else if report.counter("pool.dispatch.serial_inline") > 0 {
-        Some("serial-inline".to_owned())
-    } else {
-        None
-    };
-    BenchRun {
-        label: label.to_owned(),
-        dataset: dataset.to_owned(),
-        mode: mode.to_owned(),
-        threads: threads as u64,
-        scaling_ratio: None,
-        dispatch_mode,
-        reduction_ratio: None,
-        pair_completeness: None,
-        report,
-    }
-}
 
 fn cups_gauge(cells: u64, secs: f64) -> GaugeStat {
     GaugeStat {

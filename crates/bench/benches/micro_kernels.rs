@@ -85,12 +85,12 @@ fn bench_cliquerank(c: &mut Criterion) {
     let serial = WorkerPool::new(1);
     let mut group = c.benchmark_group("cliquerank");
     group.bench_function("serial_4x24", |b| {
-        b.iter(|| run_cliquerank(&graph, &config, &serial, None));
+        b.iter(|| run_cliquerank(&graph, &config, &serial));
     });
     for threads in POOL_SIZES {
         let pool = WorkerPool::new(threads);
         group.bench_function(format!("pooled_4x24_t{threads}"), |b| {
-            b.iter(|| run_cliquerank(&graph, &config, &pool, None));
+            b.iter(|| run_cliquerank(&graph, &config, &pool));
         });
     }
     group.finish();
@@ -109,7 +109,7 @@ fn bench_kernels(c: &mut Criterion) {
             ..Default::default()
         };
         group.bench_function(format!("{name}_chain24x4"), |b| {
-            b.iter(|| run_cliquerank(&sparse_graph, &config, &serial, None));
+            b.iter(|| run_cliquerank(&sparse_graph, &config, &serial));
         });
     }
     group.finish();

@@ -24,9 +24,9 @@
 //!   pair completeness is at least 0.95 at both sizes.
 //! * `serve` — 2,400 census records streamed through er-serve in five
 //!   uneven micro-batches: after each one the snapshot is bitwise equal
-//!   to `resolve_batch` of the same prefix, the CliqueRank cache and the
-//!   signature cache each hit at least once (so the incremental path
-//!   runs), and ingest plus resolve sustains at least 100 records/s.
+//!   to `resolve_batch` of the same prefix, the signature cache reuses
+//!   at least one signature (so the incremental path runs), and ingest
+//!   plus resolve sustains at least 100 records/s.
 //!
 //! Run: `cargo bench -p er-bench --bench smoke`.
 
@@ -362,20 +362,13 @@ fn serve() -> Vec<String> {
     let total = stream_start.elapsed();
 
     let throughput = records as f64 / stream_time.as_secs_f64();
-    let (hits, reused) = (engine.cache().hits(), engine.signatures().reused());
+    let reused = engine.signatures().reused();
     println!(
         "  stream: {} ingest+resolve ({} with batch checks), {throughput:.0} rec/s, \
-         cache hits={hits} misses={}, signatures reused={reused}",
+         signatures reused={reused}",
         fmt_duration(stream_time),
         fmt_duration(total),
-        engine.cache().misses(),
     );
-    if hits == 0 {
-        failures.push(
-            "CliqueRank cache never replayed a component: the incremental path did not run"
-                .to_owned(),
-        );
-    }
     if reused == 0 {
         failures.push("MinHash signature cache never reused a signature".to_owned());
     }

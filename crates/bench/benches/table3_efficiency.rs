@@ -25,7 +25,7 @@
 
 use std::time::Duration;
 
-use er_bench::{bench_datasets, fmt_duration, fusion_config, prepare, scale_factor};
+use er_bench::{bench_datasets, fmt_duration, fusion_config, prepare, recorded_run, scale_factor};
 use er_core::{run_rss_subset, FusionConfig, Resolver, RssConfig};
 use er_graph::RecordGraph;
 use er_obs::{BenchFile, BenchRun, GaugeStat};
@@ -39,39 +39,6 @@ fn fusion_config_threads(threads: usize) -> FusionConfig {
     let mut cfg = fusion_config();
     cfg.threads = threads;
     cfg
-}
-
-/// Resets the registry, runs `f`, and freezes the snapshot into a run.
-/// `dispatch_mode` reflects the pool's dispatch counters for the run
-/// (`pooled` if anything fanned out, `serial-inline` otherwise).
-fn recorded_run(
-    label: &str,
-    dataset: &str,
-    mode: &str,
-    threads: usize,
-    f: impl FnOnce(),
-) -> BenchRun {
-    er_obs::reset();
-    f();
-    let report = er_obs::snapshot();
-    let dispatch_mode = if report.counter("pool.dispatch.parallel") > 0 {
-        Some("pooled".to_owned())
-    } else if report.counter("pool.dispatch.serial_inline") > 0 {
-        Some("serial-inline".to_owned())
-    } else {
-        None
-    };
-    BenchRun {
-        label: label.to_owned(),
-        dataset: dataset.to_owned(),
-        mode: mode.to_owned(),
-        threads: threads as u64,
-        scaling_ratio: None,
-        dispatch_mode,
-        reduction_ratio: None,
-        pair_completeness: None,
-        report,
-    }
 }
 
 /// Total wall time of the run's top-level `path` span as a `Duration`.
@@ -154,7 +121,7 @@ fn main() {
         let pool = WorkerPool::new(er_core::default_threads());
         let mut cliquerank_run = recorded_run("table3_cliquerank", name, "full", 1, || {
             let _span = er_obs::span("cliquerank_full");
-            let _ = er_core::run_cliquerank(&gr, &fusion_config().cliquerank, &pool, None);
+            let _ = er_core::run_cliquerank(&gr, &fusion_config().cliquerank, &pool);
         });
         let cliquerank_full = span_duration(&cliquerank_run, "cliquerank_full");
 

@@ -22,6 +22,7 @@ use er_datasets::{
     generators, CensusConfig, Dataset, PaperConfig, ProductConfig, RestaurantConfig,
 };
 use er_graph::bipartite::PairNode;
+use er_obs::{BenchRun, Report};
 use unsupervised_er::pipeline::{self, Prepared};
 
 /// Worker-thread count for pooled bench paths: `ER_THREADS` if set (the
@@ -113,6 +114,45 @@ pub fn time_min(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t.elapsed().as_secs_f64());
     }
     best
+}
+
+/// The side of the dispatch cutover a recorded run landed on, from the
+/// pool's dispatch counters: `pooled` if any region fanned out,
+/// `serial-inline` if every decision stayed on the caller thread, `None`
+/// if nothing dispatched.
+pub fn dispatch_mode(report: &Report) -> Option<String> {
+    if report.counter("pool.dispatch.parallel") > 0 {
+        Some("pooled".to_owned())
+    } else if report.counter("pool.dispatch.serial_inline") > 0 {
+        Some("serial-inline".to_owned())
+    } else {
+        None
+    }
+}
+
+/// Resets the er-obs registry, runs `f`, and freezes the snapshot into
+/// a run whose `dispatch_mode` is [`dispatch_mode`] of it.
+pub fn recorded_run(
+    label: &str,
+    dataset: &str,
+    mode: &str,
+    threads: usize,
+    f: impl FnOnce(),
+) -> BenchRun {
+    er_obs::reset();
+    f();
+    let report = er_obs::snapshot();
+    BenchRun {
+        label: label.to_owned(),
+        dataset: dataset.to_owned(),
+        mode: mode.to_owned(),
+        threads: threads as u64,
+        scaling_ratio: None,
+        dispatch_mode: dispatch_mode(&report),
+        reduction_ratio: None,
+        pair_completeness: None,
+        report,
+    }
 }
 
 /// Formats a `Duration` compactly ("1.2s", "340ms").

@@ -60,7 +60,6 @@ use er_graph::{bipartite::PairNode, RecordGraph};
 use er_matrix::{MatrixArena, PackScratch};
 use er_pool::{ScratchSlot, WorkerPool};
 
-use crate::cache::{component_hash, CliqueRankCache};
 use crate::config::{BoostMode, CliqueRankConfig, Kernel};
 use crate::sparse_kernel::{sparse_step_cost, Product, SparseScratch};
 
@@ -88,21 +87,18 @@ pub struct CliqueScratch {
 /// Runs CliqueRank on the caller's worker pool; returns the matching
 /// probability per edge, aligned with [`RecordGraph::pairs`].
 ///
-/// With a [`CliqueRankCache`], every component is hashed once: hits
-/// replay their stored probabilities, the misses are solved and stored.
-/// Solving goes through one cost-ordered scheduler whatever the pool:
-/// below the pool's dispatch cutover every component is solved inline;
-/// above it, components too big for a fair per-worker share run
-/// largest-first on the caller thread with the pool parallelizing
-/// *inside* the recurrence (pooled GEMM row strips / sparse CSR row
-/// ranges), and the rest fan out as per-worker chunks. Components are
-/// independent and every kernel is deterministic, so the output is
-/// bit-identical at any thread count and with or without a cache.
+/// Every call solves every component with fresh scratch, through one
+/// cost-ordered scheduler whatever the pool: below the pool's dispatch
+/// cutover every component is solved inline; above it, components too
+/// big for a fair per-worker share run largest-first on the caller
+/// thread with the pool parallelizing *inside* the recurrence (pooled
+/// GEMM row strips / sparse CSR row ranges), and the rest fan out as
+/// per-worker chunks. Components are independent and every kernel is
+/// deterministic, so the output is bit-identical at any thread count.
 pub fn run_cliquerank(
     graph: &RecordGraph,
     config: &CliqueRankConfig,
     pool: &WorkerPool,
-    cache: Option<&mut CliqueRankCache>,
 ) -> Vec<f64> {
     if let Err(e) = config.validate() {
         panic!("{e}"); // er-lint: allow(panic) -- an invalid config is a caller bug; `validate` checks it up front
@@ -120,36 +116,8 @@ pub fn run_cliquerank(
         "cliquerank_largest_component",
         solvable.iter().map(|m| m.len()).max().unwrap_or(0) as f64,
     );
-    let Some(cache) = cache else {
-        let mut scratch = CliqueScratch::default();
-        solve_components(graph, &solvable, config, pool, &mut out, &mut scratch);
-        return out;
-    };
-
-    // Replay the hits; keep each miss's content key and edge positions
-    // for the store after the solve.
-    let mut misses = Vec::new();
-    let mut pending = Vec::new();
-    for members in solvable {
-        let key = component_hash(graph, members, config);
-        let edges = component_edges(graph, members);
-        match cache.replay(key) {
-            Some(values) => {
-                debug_assert_eq!(values.len(), edges.len());
-                for (&idx, &p) in edges.iter().zip(values) {
-                    out[idx] = p;
-                }
-            }
-            None => {
-                misses.push(members);
-                pending.push((key, edges));
-            }
-        }
-    }
-    solve_components(graph, &misses, config, pool, &mut out, cache.scratch());
-    for (key, edges) in pending {
-        cache.store(key, edges.iter().map(|&idx| out[idx]).collect());
-    }
+    let mut scratch = CliqueScratch::default();
+    solve_components(graph, &solvable, config, pool, &mut out, &mut scratch);
     out
 }
 
@@ -478,9 +446,9 @@ mod tests {
         CliqueRankConfig::default()
     }
 
-    /// CliqueRank on a 1-thread pool, without a cache.
+    /// CliqueRank on a 1-thread pool.
     fn run(g: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
-        run_cliquerank(g, config, &WorkerPool::new(1), None)
+        run_cliquerank(g, config, &WorkerPool::new(1))
     }
 
     fn fp_cfg() -> CliqueRankConfig {
@@ -660,7 +628,7 @@ mod tests {
     fn threaded_matches_single_threaded() {
         let g = two_cliques();
         let single = run(&g, &cfg());
-        let multi = run_cliquerank(&g, &cfg(), &WorkerPool::new(4), None);
+        let multi = run_cliquerank(&g, &cfg(), &WorkerPool::new(4));
         for (a, b) in single.iter().zip(&multi) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -686,7 +654,7 @@ mod tests {
     fn parallel_components_match_serial_on_large_graphs() {
         let g = many_cliques();
         let serial = run(&g, &cfg());
-        let parallel = run_cliquerank(&g, &cfg(), &WorkerPool::new(3), None);
+        let parallel = run_cliquerank(&g, &cfg(), &WorkerPool::new(3));
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert!((a - b).abs() < 1e-12);
@@ -710,7 +678,7 @@ mod tests {
         let pool = WorkerPool::new(3);
         for g in [&many_cliques(), &big] {
             let serial = run(g, &cfg());
-            let pooled = run_cliquerank(g, &cfg(), &pool, None);
+            let pooled = run_cliquerank(g, &cfg(), &pool);
             assert_eq!(serial, pooled);
         }
     }

@@ -18,7 +18,6 @@ use std::time::{Duration, Instant};
 use er_graph::{BipartiteGraph, RecordGraph, UnionFind};
 use er_pool::WorkerPool;
 
-use crate::cache::CliqueRankCache;
 use crate::cliquerank::run_cliquerank;
 use crate::config::FusionConfig;
 use crate::iter::{run_iter_into, IterScratch};
@@ -98,12 +97,12 @@ impl Resolver {
     /// Runs the full fusion loop on a prepared bipartite graph.
     ///
     /// One worker pool of [`FusionConfig::threads`] threads is created
-    /// here and shared by every phase of every round (ITER, record-graph
-    /// construction, CliqueRank) — persistent workers instead of
-    /// per-phase thread spawns. Every phase is deterministic, so the
-    /// outcome is bit-identical at any thread count.
+    /// here and shared by the pooled phases of every round (ITER and
+    /// CliqueRank) — persistent workers instead of per-phase thread
+    /// spawns. Every phase is deterministic, so the outcome is
+    /// bit-identical at any thread count.
     pub fn resolve(&self, graph: &BipartiteGraph) -> FusionOutcome {
-        self.resolve_with_cache(graph, None, None)
+        self.fuse(graph, None)
     }
 
     /// [`Resolver::resolve`] with externally seeded first-round edge
@@ -119,36 +118,12 @@ impl Resolver {
     /// must lie in `[0, 1]`. Everything downstream is unchanged and the
     /// outcome remains bit-identical at any thread count.
     pub fn resolve_seeded(&self, graph: &BipartiteGraph, seed: &[f64]) -> FusionOutcome {
-        self.resolve_with_cache(graph, Some(seed), None)
+        self.fuse(graph, Some(seed))
     }
 
-    /// [`Resolver::resolve`] with a component-level [`CliqueRankCache`]:
-    /// each round's CliqueRank phase replays every record-graph
-    /// component whose content key is already cached and solves only
-    /// the rest (on the shared pool, behind its dispatch cost model).
-    /// The outcome is **bit-identical** to [`Resolver::resolve`] /
-    /// [`Resolver::resolve_seeded`] on the same graph — replayed
-    /// probabilities were produced by the same deterministic solver on
-    /// an identical component — which is the contract the streaming
-    /// engine (`er-serve`) builds its incremental ≡ batch guarantee on.
-    ///
-    /// `seed`, when given, must satisfy the
-    /// [`Resolver::resolve_seeded`] alignment and range requirements.
-    pub fn resolve_cached(
-        &self,
-        graph: &BipartiteGraph,
-        seed: Option<&[f64]>,
-        cache: &mut CliqueRankCache,
-    ) -> FusionOutcome {
-        self.resolve_with_cache(graph, seed, Some(cache))
-    }
-
-    fn resolve_with_cache(
-        &self,
-        graph: &BipartiteGraph,
-        seed: Option<&[f64]>,
-        mut cache: Option<&mut CliqueRankCache>,
-    ) -> FusionOutcome {
+    /// The fusion loop behind [`Resolver::resolve`] (`seed = None`) and
+    /// [`Resolver::resolve_seeded`].
+    fn fuse(&self, graph: &BipartiteGraph, seed: Option<&[f64]>) -> FusionOutcome {
         if let Some(s) = seed {
             assert_eq!(
                 s.len(),
@@ -213,15 +188,11 @@ impl Resolver {
                 {
                     *slot = if ok { s } else { 0.0 };
                 }
-                let gr = RecordGraph::from_pair_scores_pooled(
-                    graph.record_count(),
-                    graph.pairs(),
-                    &gr_scores,
-                    &pool,
-                );
+                let gr =
+                    RecordGraph::from_pair_scores(graph.record_count(), graph.pairs(), &gr_scores);
                 let edge_probs = {
                     let _span = er_obs::span("solve");
-                    run_cliquerank(&gr, &cfg.cliquerank, &pool, cache.as_deref_mut())
+                    run_cliquerank(&gr, &cfg.cliquerank, &pool)
                 };
                 (gr, edge_probs)
             };
@@ -476,48 +447,6 @@ mod tests {
             );
             assert_eq!(serial.matches, parallel.matches);
         }
-    }
-
-    #[test]
-    fn cached_resolve_is_bit_identical_cold_and_warm() {
-        use crate::cache::CliqueRankCache;
-        let g = two_entity_graph();
-        let resolver = Resolver::new(quick_config());
-        let plain = resolver.resolve(&g);
-        let mut cache = CliqueRankCache::new();
-        let cold = resolver.resolve_cached(&g, None, &mut cache);
-        assert_eq!(plain.matching_probabilities, cold.matching_probabilities);
-        assert_eq!(plain.term_weights, cold.term_weights);
-        assert_eq!(plain.matches, cold.matches);
-        assert!(cache.misses() > 0 && cache.hits() > 0, "rounds 2+ replay");
-        // Warm rerun: every round replays, output still bitwise equal.
-        cache.bump_generation();
-        let warm = resolver.resolve_cached(&g, None, &mut cache);
-        assert_eq!(plain.matching_probabilities, warm.matching_probabilities);
-        assert_eq!(plain.clusters, warm.clusters);
-    }
-
-    #[test]
-    fn cached_resolve_respects_seed_validation() {
-        use crate::cache::CliqueRankCache;
-        let g = two_entity_graph();
-        let resolver = Resolver::new(quick_config());
-        let seed: Vec<f64> = (0..g.pair_count())
-            .map(|i| 0.25 + 0.5 * ((i % 3) as f64) / 2.0)
-            .collect();
-        let plain = resolver.resolve_seeded(&g, &seed);
-        let mut cache = CliqueRankCache::new();
-        let cached = resolver.resolve_cached(&g, Some(&seed), &mut cache);
-        assert_eq!(plain.matching_probabilities, cached.matching_probabilities);
-        assert_eq!(plain.matches, cached.matches);
-    }
-
-    #[test]
-    #[should_panic(expected = "one seed weight per candidate pair")]
-    fn cached_misaligned_seed_rejected() {
-        let g = two_entity_graph();
-        let mut cache = crate::cache::CliqueRankCache::new();
-        Resolver::new(quick_config()).resolve_cached(&g, Some(&[1.0]), &mut cache);
     }
 
     #[test]

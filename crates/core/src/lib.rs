@@ -38,7 +38,6 @@
 
 #![deny(unsafe_code)]
 
-pub mod cache;
 pub mod cliquerank;
 pub mod config;
 pub mod fusion;
@@ -46,7 +45,6 @@ pub mod iter;
 pub mod rss;
 pub mod sparse_kernel;
 
-pub use cache::CliqueRankCache;
 pub use cliquerank::{run_cliquerank, solve_component_into, CliqueScratch};
 pub use config::{
     default_threads, BoostMode, CliqueRankConfig, FusionConfig, IterConfig, Kernel, Normalization,

@@ -574,7 +574,7 @@ mod tests {
 
     /// CliqueRank on a 1-thread pool, without a cache.
     fn run_cliquerank(g: &RecordGraph, config: &CliqueRankConfig) -> Vec<f64> {
-        crate::run_cliquerank(g, config, &WorkerPool::new(1), None)
+        crate::run_cliquerank(g, config, &WorkerPool::new(1))
     }
 
     fn pairs(ps: &[(u32, u32)]) -> Vec<PairNode> {

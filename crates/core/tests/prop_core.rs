@@ -86,13 +86,13 @@ proptest! {
     #[test]
     fn cliquerank_outputs_probabilities(graph in record_graph(), steps in 1usize..12) {
         let cfg = CliqueRankConfig { steps, ..Default::default() };
-        let p = run_cliquerank(&graph, &cfg, &one_thread(), None);
+        let p = run_cliquerank(&graph, &cfg, &one_thread());
         prop_assert_eq!(p.len(), graph.pairs().len());
         for &v in &p {
             prop_assert!((0.0..=1.0).contains(&v), "{}", v);
         }
         // Determinism.
-        prop_assert_eq!(p, run_cliquerank(&graph, &cfg, &one_thread(), None));
+        prop_assert_eq!(p, run_cliquerank(&graph, &cfg, &one_thread()));
     }
 
     #[test]
@@ -103,8 +103,8 @@ proptest! {
             recurrence: er_core::Recurrence::FirstPassage,
             ..Default::default()
         };
-        let short = run_cliquerank(&graph, &cfg(3), &one_thread(), None);
-        let long = run_cliquerank(&graph, &cfg(10), &one_thread(), None);
+        let short = run_cliquerank(&graph, &cfg(3), &one_thread());
+        let long = run_cliquerank(&graph, &cfg(10), &one_thread());
         for (s, l) in short.iter().zip(&long) {
             prop_assert!(l + 1e-9 >= *s, "steps must not reduce reach probability: {} -> {}", s, l);
         }
@@ -114,8 +114,8 @@ proptest! {
     fn sparse_and_dense_kernels_agree(graph in record_graph(), steps in 1usize..10) {
         use er_core::Kernel;
         let mk = |kernel| CliqueRankConfig { kernel, steps, ..Default::default() };
-        let dense = run_cliquerank(&graph, &mk(Kernel::Dense), &one_thread(), None);
-        let sparse = run_cliquerank(&graph, &mk(Kernel::Sparse), &one_thread(), None);
+        let dense = run_cliquerank(&graph, &mk(Kernel::Dense), &one_thread());
+        let sparse = run_cliquerank(&graph, &mk(Kernel::Sparse), &one_thread());
         for (a, b) in dense.iter().zip(&sparse) {
             prop_assert!((a - b).abs() < 1e-9, "dense {} vs sparse {}", a, b);
         }
@@ -168,10 +168,10 @@ proptest! {
         // Components are solved independently, so their assignment to
         // workers cannot change any probability.
         let cfg = CliqueRankConfig { steps, ..Default::default() };
-        let serial = run_cliquerank(&graph, &cfg, &one_thread(), None);
+        let serial = run_cliquerank(&graph, &cfg, &one_thread());
         for threads in [1usize, 2, 4] {
             let pool = WorkerPool::new(threads);
-            let pooled = run_cliquerank(&graph, &cfg, &pool, None);
+            let pooled = run_cliquerank(&graph, &cfg, &pool);
             prop_assert_eq!(&serial, &pooled, "threads={}", threads);
         }
     }
@@ -187,7 +187,7 @@ proptest! {
         ];
         let scores = vec![w1, w1, w1, w2, w2, w2];
         let graph = RecordGraph::from_pair_scores(6, &pairs, &scores);
-        let p = run_cliquerank(&graph, &CliqueRankConfig::default(), &one_thread(), None);
+        let p = run_cliquerank(&graph, &CliqueRankConfig::default(), &one_thread());
         for &v in &p {
             prop_assert!(v > 0.95, "intra-clique edge below threshold: {}", v);
         }

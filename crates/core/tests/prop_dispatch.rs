@@ -9,12 +9,9 @@
 //! environment so the tests cover both sides of the cutover on every
 //! input, whatever `ER_DISPATCH` says. CliqueRank runs under both
 //! recurrences, on random graphs and on triangle-free ones whose sparse
-//! recurrence exits after one step, and also through a component cache,
-//! cold and warm, at every thread count and policy.
+//! recurrence exits after one step.
 
-use er_core::{
-    run_cliquerank, run_iter, CliqueRankCache, CliqueRankConfig, IterConfig, Kernel, Recurrence,
-};
+use er_core::{run_cliquerank, run_iter, CliqueRankConfig, IterConfig, Kernel, Recurrence};
 use er_graph::bipartite::PairNode;
 use er_graph::{BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
@@ -84,14 +81,12 @@ fn straddling_policies(work: usize) -> Vec<DispatchPolicy> {
 }
 
 /// Pins CliqueRank's driver for one configuration: at every thread
-/// count and policy, an uncached run, a cold run through a fresh cache
-/// (its misses solved inline, on the caller with the pool inside, or
-/// fanned out across workers) and a warm rerun through the same cache
-/// all equal the serial uncached run bitwise, and the warm rerun
-/// replays every component without a miss.
+/// count and policy, a pooled run (its components solved inline, on the
+/// caller with the pool inside, or fanned out across workers) equals
+/// the serial run bitwise.
 fn cliquerank_bit_identical(graph: &RecordGraph, cfg: &CliqueRankConfig) {
     let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    let serial = bits(run_cliquerank(graph, cfg, &WorkerPool::new(1), None));
+    let serial = bits(run_cliquerank(graph, cfg, &WorkerPool::new(1)));
     for threads in THREADS {
         // Component cost estimates are internal, so straddle with a
         // spread of thresholds from forced-inline down to
@@ -104,32 +99,8 @@ fn cliquerank_bit_identical(graph: &RecordGraph, cfg: &CliqueRankConfig) {
             DispatchPolicy::always_parallel(),
         ] {
             let pool = WorkerPool::with_policy(threads, policy);
-            let pooled = bits(run_cliquerank(graph, cfg, &pool, None));
+            let pooled = bits(run_cliquerank(graph, cfg, &pool));
             prop_assert_eq!(&serial, &pooled, "threads={} policy={:?}", threads, policy);
-            let mut cache = CliqueRankCache::new();
-            let cold = bits(run_cliquerank(graph, cfg, &pool, Some(&mut cache)));
-            prop_assert_eq!(
-                &serial,
-                &cold,
-                "cold cache threads={} policy={:?}",
-                threads,
-                policy
-            );
-            let misses = cache.misses();
-            let warm = bits(run_cliquerank(graph, cfg, &pool, Some(&mut cache)));
-            prop_assert_eq!(
-                &serial,
-                &warm,
-                "warm cache threads={} policy={:?}",
-                threads,
-                policy
-            );
-            prop_assert_eq!(cache.misses(), misses, "the warm rerun must not miss");
-            prop_assert_eq!(
-                cache.hits(),
-                misses,
-                "the warm rerun replays every component"
-            );
         }
     }
 }

@@ -5,8 +5,6 @@
 //! the ITER similarity `s(ri, rj)`. RSS walks this graph directly;
 //! CliqueRank materializes per-component transition matrices from it.
 
-use er_pool::WorkerPool;
-
 use crate::bipartite::PairNode;
 use crate::components::{components, ComponentLabels};
 use crate::csr::CsrGraph;
@@ -26,62 +24,18 @@ impl RecordGraph {
     /// similarity are dropped: a zero-similarity edge would have zero
     /// transition probability anyway and would only bloat the matrices.
     pub fn from_pair_scores(n_records: usize, pairs: &[PairNode], scores: &[f64]) -> Self {
-        Self::build(n_records, pairs, scores, None)
-    }
-
-    /// [`Self::from_pair_scores`] with the score filter fanned out over a
-    /// worker pool. The built graph is identical with or without a pool
-    /// (chunk results concatenate back in input order).
-    pub fn from_pair_scores_pooled(
-        n_records: usize,
-        pairs: &[PairNode],
-        scores: &[f64],
-        pool: &WorkerPool,
-    ) -> Self {
-        Self::build(n_records, pairs, scores, Some(pool))
-    }
-
-    fn build(
-        n_records: usize,
-        pairs: &[PairNode],
-        scores: &[f64],
-        pool: Option<&WorkerPool>,
-    ) -> Self {
         assert_eq!(
             pairs.len(),
             scores.len(),
             "pairs and scores must be parallel"
         );
         let _span = er_obs::span("record_graph_build");
-        const MIN_CHUNK: usize = 4096;
-        let filter_range = |lo: usize, hi: usize| -> Vec<(PairNode, f64)> {
-            pairs[lo..hi]
-                .iter()
-                .zip(&scores[lo..hi])
-                .filter(|(_, &s)| s > 0.0)
-                .map(|(&p, &s)| (p, s))
-                .collect()
-        };
-        // Per-pair work is a compare-and-copy (~4 ops) — route the
-        // serial/parallel choice through the pool's dispatch policy.
-        let mut kept: Vec<(PairNode, f64)> = match pool {
-            Some(pool)
-                if pairs.len() >= 2 * MIN_CHUNK
-                    && pool.dispatch(pairs.len().saturating_mul(4)).is_parallel() =>
-            {
-                let ranges = er_pool::chunk_ranges(pairs.len(), pool.threads() * 4, MIN_CHUNK);
-                let mut parts: Vec<Vec<(PairNode, f64)>> =
-                    ranges.iter().map(|_| Vec::new()).collect();
-                pool.scope(|s| {
-                    for (range, part) in ranges.iter().cloned().zip(parts.iter_mut()) {
-                        let filter_range = &filter_range;
-                        s.submit(move || *part = filter_range(range.start, range.end));
-                    }
-                });
-                parts.concat()
-            }
-            _ => filter_range(0, pairs.len()),
-        };
+        let mut kept: Vec<(PairNode, f64)> = pairs
+            .iter()
+            .zip(scores)
+            .filter(|(_, &s)| s > 0.0)
+            .map(|(&p, &s)| (p, s))
+            .collect();
         // Sort so `pairs()` is binary-searchable regardless of input
         // order. In the pipeline the input comes from the bipartite
         // graph's sorted pair list, so this check skips the sort.
@@ -94,7 +48,7 @@ impl RecordGraph {
             csr: CsrGraph::from_undirected_edges(n_records, &edges),
             pairs: kept_pairs,
         };
-        debug_validate("RecordGraph::build", || graph.validate());
+        debug_validate("RecordGraph::from_pair_scores", || graph.validate());
         graph
     }
 
@@ -233,9 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn pooled_build_is_identical() {
-        // Cross the parallel-filter threshold with a mix of kept and
-        // dropped scores, unsorted input included.
+    fn reversed_input_builds_the_sorted_graph() {
+        // A mix of kept and dropped scores, given once in ascending pair
+        // order and once reversed: the reversed list takes the sort.
         let n = 1500u32;
         let mut ps = Vec::new();
         for i in 0..n {
@@ -243,16 +197,14 @@ mod tests {
                 ps.push(PairNode::new(i, j));
             }
         }
-        ps.reverse(); // exercise the sort path too
         let scores: Vec<f64> = (0..ps.len()).map(|i| ((i % 5) as f64) * 0.2).collect();
-        let serial = RecordGraph::from_pair_scores(n as usize, &ps, &scores);
-        for threads in [2, 4] {
-            let pool = WorkerPool::new(threads);
-            let pooled = RecordGraph::from_pair_scores_pooled(n as usize, &ps, &scores, &pool);
-            assert_eq!(serial.pairs(), pooled.pairs(), "threads={threads}");
-            for u in 0..n {
-                assert_eq!(serial.neighbors(u), pooled.neighbors(u));
-            }
+        let sorted = RecordGraph::from_pair_scores(n as usize, &ps, &scores);
+        ps.reverse();
+        let reversed_scores: Vec<f64> = scores.iter().rev().copied().collect();
+        let reversed = RecordGraph::from_pair_scores(n as usize, &ps, &reversed_scores);
+        assert_eq!(sorted.pairs(), reversed.pairs());
+        for u in 0..n {
+            assert_eq!(sorted.neighbors(u), reversed.neighbors(u));
         }
     }
 }

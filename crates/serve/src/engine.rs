@@ -1,14 +1,14 @@
 //! The single-writer ingest/resolve engine.
 //!
-//! [`ServeEngine`] owns the growing state — the [`StreamingCorpus`],
-//! the MinHash [`SignatureCache`] behind the blocking strategy, and the
-//! exact [`CliqueRankCache`] — and re-resolves on demand. Incrementality
-//! lands where the cost is: CliqueRank dominates a resolve, and its
-//! cache replays every connected component whose content (members,
-//! neighborhoods, similarities, config) is unchanged since the previous
-//! epoch, bit-for-bit. Components dirtied by ingested records — and the
-//! occasional clean-looking component invalidated by a frequent-term
-//! flip — miss the content hash and recompute. The result is **exactly**
+//! [`ServeEngine`] owns the growing state — the [`StreamingCorpus`] and
+//! the MinHash [`SignatureCache`] behind the blocking strategy — and
+//! re-resolves on demand. A resolve after an ingest runs the batch
+//! resolver on the rebuilt candidate graph and seeds: ITER's term
+//! weights are global (§V), so a new candidate pair moves every
+//! similarity bit and leaves no component solution to reuse. What
+//! stays warm is the MinHash signature of every unchanged record. A
+//! resolve with nothing ingested since the last one republishes that
+//! snapshot under the new epoch. Either way the result is **exactly**
 //! the batch resolution of the same texts in the same order
 //! ([`resolve_batch`]), a property pinned by this crate's tests and the
 //! workspace-level `serve_equivalence` proptest.
@@ -16,7 +16,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use er_core::{CliqueRankCache, FusionConfig, FusionOutcome, Resolver};
+use er_core::{FusionConfig, FusionOutcome, Resolver};
 use er_graph::BipartiteGraph;
 use er_pool::WorkerPool;
 use er_text::lsh::SignatureCache;
@@ -25,10 +25,6 @@ use er_text::{seed_similarities, BlockingStrategy, Corpus, CorpusBuilder, Stream
 use crate::snapshot::{QueryHandle, SharedState, Snapshot};
 
 pub use er_text::{DEFAULT_MAX_DF_FRACTION, SEED_KERNEL};
-
-/// Default [`ServeConfig::cache_max_age`]: cached component solutions
-/// untouched for this many resolve epochs are evicted.
-pub const DEFAULT_CACHE_MAX_AGE: u64 = 8;
 
 /// Configuration of a [`ServeEngine`].
 #[derive(Debug, Clone)]
@@ -44,9 +40,6 @@ pub struct ServeConfig {
     /// Frequent-term cap forwarded to
     /// [`StreamingCorpus::materialize`].
     pub max_df_fraction: f64,
-    /// CliqueRank cache entries untouched for more than this many
-    /// resolve epochs are evicted ([`CliqueRankCache::evict_stale`]).
-    pub cache_max_age: u64,
 }
 
 impl Default for ServeConfig {
@@ -55,8 +48,28 @@ impl Default for ServeConfig {
             fusion: FusionConfig::default(),
             strategy: BlockingStrategy::TokenGraph,
             max_df_fraction: DEFAULT_MAX_DF_FRACTION,
-            cache_max_age: DEFAULT_CACHE_MAX_AGE,
         }
+    }
+}
+
+/// How a [`ServeEngine`]'s resolves were served: a hit republished the
+/// previous snapshot because nothing was ingested since, a miss ran the
+/// pipeline.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ResolveCache {
+    hits: usize,
+    misses: usize,
+}
+
+impl ResolveCache {
+    /// Resolves that republished the previous snapshot.
+    pub fn hits(&self) -> usize {
+        self.hits
+    }
+
+    /// Resolves that ran the pipeline.
+    pub fn misses(&self) -> usize {
+        self.misses
     }
 }
 
@@ -69,7 +82,7 @@ pub struct ServeEngine {
     pool: WorkerPool,
     corpus: StreamingCorpus,
     signatures: SignatureCache,
-    cache: CliqueRankCache,
+    cache: ResolveCache,
     shared: Arc<SharedState>,
     /// Record count covered by the last published snapshot.
     resolved_records: usize,
@@ -86,7 +99,7 @@ impl ServeEngine {
             pool,
             corpus: StreamingCorpus::new(),
             signatures: SignatureCache::new(),
-            cache: CliqueRankCache::new(),
+            cache: ResolveCache::default(),
             shared: Arc::new(SharedState::new()),
             resolved_records: 0,
             resolves: 0,
@@ -118,8 +131,8 @@ impl ServeEngine {
         &self.config
     }
 
-    /// The CliqueRank component cache (hit/miss statistics).
-    pub fn cache(&self) -> &CliqueRankCache {
+    /// Resolve hit/miss statistics (see [`ResolveCache`]).
+    pub fn cache(&self) -> &ResolveCache {
         &self.cache
     }
 
@@ -158,35 +171,34 @@ impl ServeEngine {
     ///
     /// The resolution is **bit-identical** to [`resolve_batch`] over the
     /// same texts: the streaming corpus materializes exactly the batch
-    /// corpus, the cached blocking paths emit exactly the batch
-    /// candidate lists, and the exact CliqueRank cache replays only
-    /// component solutions whose full content hash matches — so warm
-    /// replays and cold recomputes produce the same bits.
+    /// corpus, the signature-cached blocking paths emit exactly the
+    /// batch candidate lists, and fusion is the same seeded batch
+    /// resolver. When nothing was ingested since the last resolve, the
+    /// texts and the configuration are those of the published snapshot,
+    /// so it is republished under the new epoch without running the
+    /// pipeline (a [`ResolveCache`] hit).
     pub fn resolve(&mut self) -> Arc<Snapshot> {
         let _span = er_obs::span("serve.resolve");
-        self.cache.bump_generation();
         let epoch = self.shared.epoch.load(std::sync::atomic::Ordering::Relaxed) + 1;
-        let corpus = self.corpus.materialize(self.config.max_df_fraction);
-        let snapshot = if corpus.is_empty() {
-            Arc::new(Snapshot::empty(epoch))
+        let snapshot = if self.resolves > 0 && self.pending() == 0 {
+            self.cache.hits += 1;
+            Arc::new(self.snapshot().with_epoch(epoch))
         } else {
-            let graph = self.config.strategy.candidate_graph(
-                &corpus,
-                &self.pool,
-                Some(&mut self.signatures),
-                None,
-            );
-            let outcome = resolve_graph(
-                &corpus,
-                &graph,
-                &self.config.fusion,
-                &self.pool,
-                Some(&mut self.cache),
-            );
-            Arc::new(Snapshot::from_outcome(epoch, corpus.len(), &graph, outcome))
+            self.cache.misses += 1;
+            let corpus = self.corpus.materialize(self.config.max_df_fraction);
+            if corpus.is_empty() {
+                Arc::new(Snapshot::empty(epoch))
+            } else {
+                let graph = self.config.strategy.candidate_graph(
+                    &corpus,
+                    &self.pool,
+                    Some(&mut self.signatures),
+                    None,
+                );
+                let outcome = resolve_graph(&corpus, &graph, &self.config.fusion, &self.pool);
+                Arc::new(Snapshot::from_outcome(epoch, corpus.len(), &graph, outcome))
+            }
         };
-        let evicted = self.cache.evict_stale(self.config.cache_max_age);
-        er_obs::counter_add("serve.cache_evictions", evicted as u64);
         er_obs::gauge_set("serve.epoch", epoch as f64);
         self.shared.publish(snapshot.clone());
         self.resolved_records = snapshot.records();
@@ -224,25 +236,20 @@ where
         return Snapshot::empty(0);
     }
     let graph = config.strategy.candidate_graph(&corpus, &pool, None, None);
-    let outcome = resolve_graph(&corpus, &graph, &config.fusion, &pool, None);
+    let outcome = resolve_graph(&corpus, &graph, &config.fusion, &pool);
     Snapshot::from_outcome(0, corpus.len(), &graph, outcome)
 }
 
 /// Seeds ITER with batched [`SEED_KERNEL`] similarities and runs the
-/// fusion loop, through the CliqueRank cache when one is supplied.
+/// fusion loop.
 fn resolve_graph(
     corpus: &Corpus,
     graph: &BipartiteGraph,
     config: &FusionConfig,
     pool: &WorkerPool,
-    cache: Option<&mut CliqueRankCache>,
 ) -> FusionOutcome {
     let seed = seed_similarities(corpus, graph, pool);
-    let resolver = Resolver::new(config.clone());
-    match cache {
-        Some(c) => resolver.resolve_cached(graph, Some(&seed), c),
-        None => resolver.resolve_seeded(graph, &seed),
-    }
+    Resolver::new(config.clone()).resolve_seeded(graph, &seed)
 }
 
 #[cfg(test)]
@@ -284,10 +291,6 @@ mod tests {
             assert!(snap.bitwise_eq(&batch), "prefix {i}");
             assert_eq!(snap.epoch(), i as u64 + 1);
         }
-        assert!(
-            engine.cache().hits() > 0,
-            "warm prefixes must replay components"
-        );
     }
 
     #[test]
@@ -376,29 +379,6 @@ mod tests {
         assert!(engine.is_empty());
     }
 
-    #[test]
-    fn stale_cache_entries_are_evicted_over_epochs() {
-        let mut config = small_config();
-        config.cache_max_age = 1;
-        let mut engine = ServeEngine::new(config);
-        engine.ingest_batch(texts().iter().take(4));
-        engine.resolve();
-        let after_first = engine.cache().len();
-        assert!(after_first > 0);
-        // Many further epochs over a disjoint new component: entries of
-        // vanished components age out under max_age = 1.
-        engine.ingest("zz yy xx");
-        engine.ingest("zz yy xx ww");
-        for _ in 0..4 {
-            engine.resolve();
-        }
-        assert!(
-            engine.cache().len() <= after_first + 2,
-            "cache stays bounded: {}",
-            engine.cache().len()
-        );
-    }
-
     fn restaurant_texts() -> Vec<String> {
         er_datasets::generators::restaurant::generate(&er_datasets::RestaurantConfig {
             records: 90,
@@ -421,19 +401,22 @@ mod tests {
     }
 
     #[test]
-    fn isolated_record_re_solves_no_component() {
+    fn isolated_record_is_a_miss_and_an_idle_resolve_a_hit() {
         let mut engine = ServeEngine::new(restaurant_config());
         engine.ingest_batch(restaurant_texts());
         let first = engine.resolve();
-        let (hits, misses) = (engine.cache().hits(), engine.cache().misses());
-        // Shares no term with the corpus, so it joins no component.
+        // Shares no term with the corpus, so it changes no match; it was
+        // ingested, so the resolve runs the pipeline.
         engine.ingest("zzqqy unique gibberish tokens");
         let second = engine.resolve();
-        assert_eq!(engine.cache().misses(), misses, "nothing to re-solve");
-        assert!(engine.cache().hits() > hits, "unchanged components replay");
         assert_eq!(first.matches(), second.matches());
-        // Nothing ingested since: the next resolve republishes the same bits.
-        assert!(engine.resolve().bitwise_eq(&second));
+        assert_eq!((engine.cache().hits(), engine.cache().misses()), (0, 2));
+        // Nothing ingested since: the next resolve republishes the same
+        // bits under the next epoch.
+        let third = engine.resolve();
+        assert!(third.bitwise_eq(&second));
+        assert_eq!(third.epoch(), second.epoch() + 1);
+        assert_eq!((engine.cache().hits(), engine.cache().misses()), (1, 2));
     }
 
     #[test]

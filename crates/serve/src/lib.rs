@@ -8,11 +8,11 @@
 //! Three pieces:
 //!
 //! * [`ServeEngine`] — the single writer. It maintains the growing
-//!   corpus state ([`er_text::StreamingCorpus`]), keeps MinHash
-//!   signatures warm across resolves ([`er_text::lsh::SignatureCache`])
-//!   and replays unchanged connected components through the exact
-//!   [`er_core::CliqueRankCache`], so a [`ServeEngine::resolve`] after a
-//!   small ingest recomputes only the dirtied components — while staying
+//!   corpus state ([`er_text::StreamingCorpus`]) and keeps MinHash
+//!   signatures warm across resolves ([`er_text::lsh::SignatureCache`]).
+//!   A [`ServeEngine::resolve`] after an ingest re-runs the batch
+//!   resolver on the rebuilt candidate graph and seeds; one with nothing
+//!   ingested since republishes the last snapshot. Either way it is
 //!   **bit-identical** to a from-scratch batch run ([`resolve_batch`])
 //!   over the same record stream.
 //! * [`Snapshot`] — one immutable, internally consistent resolution
@@ -46,7 +46,6 @@ pub mod engine;
 pub mod snapshot;
 
 pub use engine::{
-    resolve_batch, ServeConfig, ServeEngine, DEFAULT_CACHE_MAX_AGE, DEFAULT_MAX_DF_FRACTION,
-    SEED_KERNEL,
+    resolve_batch, ResolveCache, ServeConfig, ServeEngine, DEFAULT_MAX_DF_FRACTION, SEED_KERNEL,
 };
 pub use snapshot::{QueryHandle, Snapshot};

@@ -72,6 +72,14 @@ impl Snapshot {
         }
     }
 
+    /// This resolution republished under `epoch`.
+    pub(crate) fn with_epoch(&self, epoch: u64) -> Self {
+        Self {
+            epoch,
+            ..self.clone()
+        }
+    }
+
     /// The epoch this snapshot was published at (0 = nothing resolved).
     pub fn epoch(&self) -> u64 {
         self.epoch

@@ -283,42 +283,6 @@ pub fn sorted_neighborhood(corpus: &Corpus, window: usize) -> Vec<(u32, u32)> {
     pairs
 }
 
-/// Scores a candidate list on the batched similarity engine
-/// ([`crate::simeng`]): one tape build over the corpus, then one
-/// batched sweep over the pairs. `out[i]` is `kernel`'s similarity for
-/// `pairs[i]`, bit-identical at any thread count.
-pub fn score_candidates(
-    corpus: &Corpus,
-    pairs: &[(u32, u32)],
-    kernel: SimKernel,
-    pool: &WorkerPool,
-) -> Vec<f64> {
-    BatchScorer::new(corpus).score(kernel, pairs, pool)
-}
-
-/// Meta-blocking-style candidate pruning: scores every candidate with
-/// `kernel` on the batch engine and keeps pairs scoring at least
-/// `min_similarity`. The cheap similarity acts as the edge-weight
-/// filter of meta-blocking — blocks shrink before the expensive
-/// downstream scoring ever runs. Order is preserved.
-pub fn prune_candidates(
-    corpus: &Corpus,
-    pairs: &[(u32, u32)],
-    kernel: SimKernel,
-    min_similarity: f64,
-    pool: &WorkerPool,
-) -> Vec<(u32, u32)> {
-    let scores = score_candidates(corpus, pairs, kernel, pool);
-    let kept: Vec<(u32, u32)> = pairs
-        .iter()
-        .zip(&scores)
-        .filter(|(_, &s)| s >= min_similarity)
-        .map(|(&p, _)| p)
-        .collect();
-    note_blocking_stats("pruned", corpus.len(), kept.len());
-    kept
-}
-
 /// Publishes the survey-standard blocking telemetry: candidate count and
 /// reduction ratio, gauged per scheme.
 pub(crate) fn note_blocking_stats(scheme: &str, n_records: usize, n_candidates: usize) {
@@ -479,43 +443,6 @@ mod tests {
     #[should_panic(expected = "window")]
     fn tiny_window_rejected() {
         sorted_neighborhood(&corpus(), 1);
-    }
-
-    #[test]
-    fn candidate_scoring_matches_oracle() {
-        let c = corpus();
-        let pairs = token_blocking(&c, 10);
-        let pool = WorkerPool::new(1);
-        let scorer = BatchScorer::new(&c);
-        for kernel in SimKernel::ALL {
-            let got = score_candidates(&c, &pairs, kernel, &pool);
-            for (&(a, b), g) in pairs.iter().zip(&got) {
-                let want = scorer.score_pair_reference(kernel, a, b);
-                assert_eq!(want.to_bits(), g.to_bits(), "{} ({a}, {b})", kernel.name());
-            }
-        }
-    }
-
-    #[test]
-    fn pruning_keeps_exactly_the_passing_pairs() {
-        let c = corpus();
-        let pairs = token_blocking(&c, 10);
-        let pool = WorkerPool::new(1);
-        let scores = score_candidates(&c, &pairs, SimKernel::JaroWinkler, &pool);
-        // A threshold strictly between the min and max score must split
-        // the candidate set without emptying it.
-        let lo = scores.iter().copied().fold(f64::INFINITY, f64::min);
-        let hi = scores.iter().copied().fold(0.0f64, f64::max);
-        let cut = (lo + hi) / 2.0;
-        let kept = prune_candidates(&c, &pairs, SimKernel::JaroWinkler, cut, &pool);
-        assert!(!kept.is_empty() && kept.len() < pairs.len(), "{kept:?}");
-        let want: Vec<(u32, u32)> = pairs
-            .iter()
-            .zip(&scores)
-            .filter(|(_, &s)| s >= cut)
-            .map(|(&p, _)| p)
-            .collect();
-        assert_eq!(kept, want);
     }
 
     #[test]

@@ -192,14 +192,14 @@ pub mod pipeline {
 }
 
 pub mod incremental {
-    //! Incremental resolution: append records, re-resolve cheaply.
+    //! Incremental resolution: append records, re-resolve.
     //!
     //! The workspace has one incremental resolver, er-serve's
-    //! [`ServeEngine`]; this module is the facade's path to it. The
-    //! engine replays every CliqueRank component whose content is
-    //! unchanged since the previous resolve and re-solves only the
-    //! components new records touch, and its snapshots are bit-identical
-    //! to [`resolve_batch`] over the same texts — on a single-source
+    //! [`ServeEngine`]; this module is the facade's path to it. After an
+    //! ingest the engine re-runs the batch resolver over its warm MinHash
+    //! signatures; with nothing ingested since the last resolve it
+    //! republishes that snapshot. Its snapshots are bit-identical to
+    //! [`resolve_batch`] over the same texts — on a single-source
     //! dataset, also to the seeded batch [`pipeline`](crate::pipeline)
     //! at the same frequent-term cap.
 
@@ -253,8 +253,8 @@ pub mod incremental {
             let d = seed_data();
             let mut engine = seeded_engine(&d);
             let first = engine.resolve();
-            let (hits, misses) = (engine.cache().hits(), engine.cache().misses());
-            // Append one isolated record (shares nothing) and re-resolve.
+            // Append one isolated record (shares nothing): a miss that
+            // changes no match.
             engine.ingest("zzqqy unique gibberish tokens");
             let second = engine.resolve();
             assert_eq!(
@@ -262,11 +262,12 @@ pub mod incremental {
                 second.matches(),
                 "an isolated record changes nothing"
             );
-            assert!(
-                engine.cache().hits() > hits,
-                "unchanged components come from the cache"
-            );
-            assert_eq!(engine.cache().misses(), misses, "nothing to re-solve");
+            assert_eq!((engine.cache().hits(), engine.cache().misses()), (0, 2));
+            // Nothing ingested since: a hit, republishing the same bits.
+            let third = engine.resolve();
+            assert!(third.bitwise_eq(&second));
+            assert_eq!(third.epoch(), second.epoch() + 1);
+            assert_eq!((engine.cache().hits(), engine.cache().misses()), (1, 2));
         }
 
         #[test]
