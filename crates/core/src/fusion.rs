@@ -31,6 +31,9 @@ pub struct RoundStats {
     pub iter_iterations: usize,
     /// ITER per-iteration L1 weight change (Figure 5 trace).
     pub iter_deltas: Vec<f64>,
+    /// Whether ITER reached its tolerance before the iteration cap
+    /// ([`IterOutcome::converged`](crate::IterOutcome::converged)).
+    pub iter_converged: bool,
     /// Wall time of the ITER phase.
     pub iter_time: Duration,
     /// Wall time of the CliqueRank phase.
@@ -216,6 +219,7 @@ impl Resolver {
                 round,
                 iter_iterations: iter_out.iterations,
                 iter_deltas: iter_out.deltas.clone(),
+                iter_converged: iter_out.converged,
                 iter_time,
                 cliquerank_time,
                 probability_delta,
@@ -319,7 +323,17 @@ mod tests {
             assert_eq!(r.round, i + 1);
             assert!(r.iter_iterations >= 1);
             assert_eq!(r.iter_deltas.len(), r.iter_iterations);
+            // ITER stops early exactly when its last delta is below the
+            // tolerance; on this small graph every round converges.
+            let tolerance = quick_config().iter.tolerance;
+            assert_eq!(r.iter_converged, r.iter_deltas.last().unwrap() < &tolerance);
+            assert!(r.iter_converged, "round {}: {:?}", r.round, r.iter_deltas);
         }
+        // A one-sweep cap stops every round short of the tolerance.
+        let mut capped = quick_config();
+        capped.iter.max_iterations = 1;
+        let out = Resolver::new(capped).resolve(&two_entity_graph());
+        assert!(out.rounds.iter().all(|r| !r.iter_converged));
         // Reinforcement converges: the last round changes p less than the
         // first feedback round did.
         assert!(out.rounds.last().unwrap().probability_delta <= out.rounds[0].probability_delta);

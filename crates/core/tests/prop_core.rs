@@ -25,6 +25,29 @@ fn bipartite() -> impl Strategy<Value = BipartiteGraph> {
     )
 }
 
+/// A random bipartite structure with ITER edge probabilities that are
+/// all zero, all one, or mixed (exact zeros, ones and values in
+/// between), so the sweeps meet pairs at `p = 0` and terms whose every
+/// pair is at `p = 0`.
+fn bipartite_with_prob() -> impl Strategy<Value = (BipartiteGraph, Vec<f64>)> {
+    bipartite()
+        .prop_flat_map(|graph| {
+            let draws = proptest::collection::vec((0u8..4, 0.0f64..1.0), graph.pair_count());
+            (Just(graph), 0u8..3, draws)
+        })
+        .prop_map(|(graph, mode, draws)| {
+            let prob = draws
+                .into_iter()
+                .map(|(code, v)| match (mode, code) {
+                    (0, _) | (2, 0) => 0.0,
+                    (1, _) | (2, 1) => 1.0,
+                    _ => v,
+                })
+                .collect();
+            (graph, prob)
+        })
+}
+
 /// A random weighted record graph over up to 10 nodes.
 fn record_graph() -> impl Strategy<Value = RecordGraph> {
     proptest::collection::btree_map((0u32..10, 0u32..10), 0.05f64..2.0, 1..25).prop_map(|m| {
@@ -134,11 +157,10 @@ proptest! {
     }
 
     #[test]
-    fn iter_pooled_bit_identical_across_threads(graph in bipartite(), seed in 0u64..1000) {
+    fn iter_pooled_bit_identical_across_threads((graph, prob) in bipartite_with_prob(), seed in 0u64..1000) {
         // The worker pool must never change ITER's result, only its
         // wall clock: every float written in parallel lands in a
         // disjoint slot and reductions stay serial.
-        let prob = vec![1.0; graph.pair_count()];
         let cfg = IterConfig { seed, ..Default::default() };
         let serial = run_iter(&graph, &prob, &cfg, &one_thread());
         for threads in [1usize, 2, 4] {
@@ -146,6 +168,7 @@ proptest! {
             let pooled = run_iter(&graph, &prob, &cfg, &pool);
             prop_assert_eq!(&serial.term_weights, &pooled.term_weights, "threads={}", threads);
             prop_assert_eq!(&serial.pair_similarities, &pooled.pair_similarities);
+            prop_assert_eq!(&serial.deltas, &pooled.deltas);
             prop_assert_eq!(serial.iterations, pooled.iterations);
         }
     }

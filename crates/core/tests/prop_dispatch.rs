@@ -36,6 +36,29 @@ fn bipartite() -> impl Strategy<Value = BipartiteGraph> {
     )
 }
 
+/// A random bipartite structure with ITER edge probabilities that are
+/// all zero, all one, or mixed (exact zeros, ones and values in
+/// between), so the sweeps meet pairs at `p = 0` and terms whose every
+/// pair is at `p = 0`.
+fn bipartite_with_prob() -> impl Strategy<Value = (BipartiteGraph, Vec<f64>)> {
+    bipartite()
+        .prop_flat_map(|graph| {
+            let draws = proptest::collection::vec((0u8..4, 0.0f64..1.0), graph.pair_count());
+            (Just(graph), 0u8..3, draws)
+        })
+        .prop_map(|(graph, mode, draws)| {
+            let prob = draws
+                .into_iter()
+                .map(|(code, v)| match (mode, code) {
+                    (0, _) | (2, 0) => 0.0,
+                    (1, _) | (2, 1) => 1.0,
+                    _ => v,
+                })
+                .collect();
+            (graph, prob)
+        })
+}
+
 /// A random weighted record graph over up to 10 nodes.
 fn record_graph() -> impl Strategy<Value = RecordGraph> {
     proptest::collection::btree_map((0u32..10, 0u32..10), 0.05f64..2.0, 1..25).prop_map(|m| {
@@ -109,22 +132,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn iter_bit_identical_across_the_cutover(graph in bipartite(), seed in 0u64..1000) {
-        // ITER's dispatch estimate is the posting count, so policies
-        // built from `edge_count()` land the run on either side of the
-        // cutover deterministically.
-        let prob = vec![1.0; graph.pair_count()];
+    fn iter_bit_identical_across_the_cutover((graph, prob) in bipartite_with_prob(), seed in 0u64..1000) {
+        // ITER's dispatch estimate is the live posting count (the edges
+        // of the pairs at p > 0), so policies built from it land the run
+        // on either side of the cutover deterministically.
+        let live_edges: usize = (0..graph.pair_count() as u32)
+            .filter(|&p| prob[p as usize] > 0.0)
+            .map(|p| graph.terms_of_pair(p).len())
+            .sum();
         let cfg = IterConfig { seed, ..Default::default() };
         let serial = run_iter(&graph, &prob, &cfg, &WorkerPool::new(1));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         for threads in THREADS {
-            for policy in straddling_policies(graph.edge_count()) {
+            for policy in straddling_policies(live_edges) {
                 let pool = WorkerPool::with_policy(threads, policy);
                 let pooled = run_iter(&graph, &prob, &cfg, &pool);
-                let a: Vec<u64> = serial.term_weights.iter().map(|v| v.to_bits()).collect();
-                let b: Vec<u64> = pooled.term_weights.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(a, b, "threads={} policy={:?}", threads, policy);
-                prop_assert_eq!(&serial.pair_similarities, &pooled.pair_similarities);
+                prop_assert_eq!(
+                    bits(&serial.term_weights),
+                    bits(&pooled.term_weights),
+                    "threads={} policy={:?}",
+                    threads,
+                    policy
+                );
+                prop_assert_eq!(bits(&serial.pair_similarities), bits(&pooled.pair_similarities));
+                prop_assert_eq!(bits(&serial.deltas), bits(&pooled.deltas));
                 prop_assert_eq!(serial.iterations, pooled.iterations);
+                prop_assert_eq!(serial.converged, pooled.converged);
             }
         }
     }

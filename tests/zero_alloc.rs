@@ -1,6 +1,6 @@
 //! Steady-state allocation contracts of the hot per-element loops.
 //!
-//! Two subsystems promise zero heap allocations once warm:
+//! Three subsystems promise zero heap allocations once warm:
 //!
 //! * **CliqueRank recurrence** — after a warm-up solve has grown the
 //!   scratch arena, the pack buffers, and the edge-set CSR scratch to
@@ -14,13 +14,18 @@
 //!   tables, the stamped non-ASCII mask rows), re-scoring the batch on
 //!   every kernel must allocate nothing. The string tape build is
 //!   excluded: it is a once-per-dataset cost by design.
+//! * **ITER sweeps** — once a run's outcome has been handed back through
+//!   `IterScratch::recycle`, the next `run_iter_into` allocates nothing:
+//!   its working vectors and the live view of the graph (the terms with
+//!   `P_t > 0`, the pairs with `p > 0`, the compacted term rows) all
+//!   reuse the scratch's capacity.
 //!
-//! A counting global allocator pins both contracts; any regression (a
+//! A counting global allocator pins all three contracts; any regression (a
 //! stray `clone`, a `Vec` built inside the step loop, a mask row dropped
 //! and rebuilt per pair) turns into a test failure rather than a silent
 //! slowdown.
 //!
-//! Both contracts are single-threaded by construction (`threads = 1`
+//! The contracts are single-threaded by construction (`threads = 1`
 //! configs, an always-serial pool), so the counter is **thread-scoped**:
 //! only allocations made by the measuring thread count. A process-global
 //! counter is not an option — the libtest harness's main thread lazily
@@ -36,10 +41,14 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use er_core::{solve_component_into, BoostMode, CliqueRankConfig, CliqueScratch, Kernel};
-use er_graph::{bipartite::PairNode, RecordGraph};
+use er_core::{
+    run_iter_into, solve_component_into, BoostMode, CliqueRankConfig, CliqueScratch, IterConfig,
+    IterScratch, Kernel,
+};
+use er_graph::{bipartite::PairNode, BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
 use er_text::{BatchScorer, CorpusBuilder, SimKernel};
 
@@ -205,6 +214,71 @@ fn assert_batch_scorer_steady_state() {
     }
 }
 
+/// 60 terms over 16 records, each term in 0–4 of them, so some terms
+/// have `P_t = 0`.
+fn iter_graph() -> BipartiteGraph {
+    let postings: Vec<Vec<u32>> = (0..60u32)
+        .map(|t| {
+            let set: BTreeSet<u32> = (0..t % 5).map(|k| (t * 7 + k * 5) % 16).collect();
+            set.into_iter().collect()
+        })
+        .collect();
+    let mut builder = BipartiteGraphBuilder::new(16, postings.len());
+    for (t, list) in postings.iter().enumerate() {
+        builder = builder.postings(t as u32, list);
+    }
+    builder.build()
+}
+
+/// Warm ITER runs must be alloc-free: a warm-up run grows the scratch's
+/// live view and working vectors, and every later run recycles the
+/// previous outcome first, as the fusion loop does. Three probability
+/// vectors cover the view's three layouts: mostly zero (the sweep
+/// compacts its term rows), a quarter zero (it lists the live pairs and
+/// reads the graph's rows) and all ones (it lists nothing).
+fn assert_iter_steady_state() {
+    let graph = iter_graph();
+    let pool = WorkerPool::with_policy(1, DispatchPolicy::always_serial());
+    let config = IterConfig::default();
+    let n = graph.pair_count();
+    let value = |p: usize| 0.25 + (p % 7) as f64 / 10.0;
+    let mostly_dead: Vec<f64> = (0..n)
+        .map(|p| if p % 4 == 0 { value(p) } else { 0.0 })
+        .collect();
+    let quarter_dead: Vec<f64> = (0..n)
+        .map(|p| if p % 4 == 0 { 0.0 } else { value(p) })
+        .collect();
+    let ones = vec![1.0; n];
+    let dead_edges = |prob: &[f64]| -> usize {
+        (0..n as u32)
+            .filter(|&p| prob[p as usize] == 0.0)
+            .map(|p| graph.terms_of_pair(p).len())
+            .sum()
+    };
+    assert!(2 * dead_edges(&mostly_dead) > graph.edge_count());
+    assert!(2 * dead_edges(&quarter_dead) < graph.edge_count() && dead_edges(&quarter_dead) > 0);
+    for (prob, label) in [
+        (&mostly_dead, "p mostly 0"),
+        (&quarter_dead, "p a quarter 0"),
+        (&ones, "all-ones p"),
+    ] {
+        let mut scratch = IterScratch::new();
+        let warm = run_iter_into(&graph, prob, &config, &pool, &mut scratch);
+        let baseline = warm.term_weights.clone();
+        scratch.recycle(warm);
+        let mut same = true;
+        let allocs = count_allocs(|| {
+            for _ in 0..3 {
+                let out = run_iter_into(&graph, prob, &config, &pool, &mut scratch);
+                same &= out.term_weights == baseline;
+                scratch.recycle(out);
+            }
+        });
+        assert_eq!(allocs, 0, "{label}: warm ITER runs must not allocate");
+        assert!(same, "{label}: repeat ITER runs must be bit-identical");
+    }
+}
+
 #[test]
 fn cliquerank_recurrence_steady_state_allocates_nothing() {
     let unmasked = CliqueRankConfig {
@@ -225,4 +299,5 @@ fn cliquerank_recurrence_steady_state_allocates_nothing() {
     assert_steady_state_alloc_free(&even_cycle(), &config(Kernel::Dense), "dense early exit");
     assert_steady_state_alloc_free(&even_cycle(), &config(Kernel::Sparse), "sparse early exit");
     assert_batch_scorer_steady_state();
+    assert_iter_steady_state();
 }
