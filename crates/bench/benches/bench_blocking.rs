@@ -1,9 +1,11 @@
 //! **bench_blocking** — candidate-generation scaling curves on the
 //! census dataset.
 //!
-//! Runs capped token blocking, banding LSH and the meta-blocking
-//! pipeline over a ladder of census sizes (100 k → 1 M records at
-//! `ER_SCALE=paper`) and records, per run: the wall time of what every
+//! Builds the corpus, then runs capped token blocking, banding LSH and
+//! the meta-blocking pipeline, over a ladder of census sizes (100 k →
+//! 1 M records at `ER_SCALE=paper`). The `corpus` run of each size
+//! times `CorpusBuilder` (tokenize, intern, filter and index) under its
+//! `corpus.build` span. The blocking runs record: the wall time of what every
 //! resolve pays — candidate generation plus the term–pair graph build
 //! (`candidate_graph`) — then, from an untimed `candidate_pairs` call,
 //! candidate count, candidates-per-record, reduction ratio and pair
@@ -20,9 +22,11 @@
 //!
 //! Run: `ER_SCALE=paper cargo bench -p er-bench --bench bench_blocking`.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use er_bench::{bench_threads, census, dispatch_mode, fmt_duration, print_header, scale_factor};
+use er_bench::{
+    bench_threads, census, dispatch_mode, fmt_duration, print_header, recorded_run, scale_factor,
+};
 use er_obs::{BenchFile, BenchRun};
 use er_pool::WorkerPool;
 use er_text::blocking::{reduction_ratio, BlockingStrategy, MetaBlocking};
@@ -93,10 +97,27 @@ fn main() {
     for base in SIZES {
         let n = er_datasets::scaled(base, scale);
         let dataset = census(n);
-        let corpus = CorpusBuilder::new()
-            .extend_texts(dataset.texts())
-            .max_df_fraction(DEFAULT_MAX_DF_FRACTION)
-            .build();
+        let mut corpus = None;
+        let mut elapsed = Duration::ZERO;
+        let run = recorded_run("blocking", &format!("n{base}"), "corpus", threads, || {
+            let t = Instant::now();
+            corpus = Some(
+                CorpusBuilder::new()
+                    .extend_texts(dataset.texts())
+                    .max_df_fraction(DEFAULT_MAX_DF_FRACTION)
+                    .build(),
+            );
+            elapsed = t.elapsed();
+        });
+        let corpus = corpus.expect("the corpus run builds the corpus");
+        println!(
+            "{:<9} {:<10} {:<9} {} terms",
+            n,
+            "corpus",
+            fmt_duration(elapsed),
+            corpus.vocab_len()
+        );
+        file.runs.push(run);
         let mut truth: Vec<(u32, u32)> = dataset
             .matching_pairs()
             .iter()

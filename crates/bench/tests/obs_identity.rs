@@ -99,3 +99,37 @@ fn recording_actually_records() {
         "round counter missing"
     );
 }
+
+/// The batch corpus build records one `corpus.build` span however its
+/// texts arrive (one bulk `extend_texts` or a `push_text` per record),
+/// with the interned tokens and the vocabulary size beside it.
+#[test]
+fn corpus_build_records_one_span_per_build() {
+    let _guard = REGISTRY_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let texts = ["fenix at the argyle", "fenix sunset blvd", "", "la la land"];
+    er_obs::set_recording(true);
+    er_obs::reset();
+    let bulk = er_text::CorpusBuilder::new().extend_texts(texts).build();
+    let bulk_report = er_obs::snapshot();
+    er_obs::reset();
+    let mut builder = er_text::CorpusBuilder::new();
+    for text in texts {
+        builder = builder.push_text(text);
+    }
+    let one_by_one = builder.max_df_fraction(0.5).build();
+    let report = er_obs::snapshot();
+    er_obs::set_recording(false);
+    for (report, corpus) in [(&bulk_report, &bulk), (&report, &one_by_one)] {
+        let span = report.span("corpus.build").expect("corpus.build span");
+        assert_eq!(span.count, 1, "one span per build, not per record");
+        assert_eq!(report.spans.len(), 1);
+        assert_eq!(report.counter("corpus_tokens_total"), 10);
+        assert_eq!(
+            report.gauge("corpus_terms"),
+            Some(corpus.vocab_len() as f64)
+        );
+    }
+    assert_eq!(bulk.vocab_len(), 8);
+}

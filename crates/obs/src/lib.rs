@@ -42,8 +42,8 @@ mod record;
 
 #[cfg(feature = "enabled")]
 pub use record::{
-    counter_add, gauge_set, recording, reset, set_recording, snapshot, span, worker_record,
-    SpanGuard,
+    counter_add, gauge_set, record_span, recording, reset, set_recording, snapshot, span,
+    worker_record, SpanGuard,
 };
 
 #[cfg(not(feature = "enabled"))]
@@ -78,6 +78,10 @@ mod stubs {
 
     /// No-op without `feature = "enabled"`.
     #[inline]
+    pub fn record_span(_name: &str, _elapsed: std::time::Duration) {}
+
+    /// No-op without `feature = "enabled"`.
+    #[inline]
     pub fn counter_add(_name: &str, _delta: u64) {}
 
     /// No-op without `feature = "enabled"`.
@@ -98,8 +102,8 @@ mod stubs {
 
 #[cfg(not(feature = "enabled"))]
 pub use stubs::{
-    counter_add, gauge_set, recording, reset, set_recording, snapshot, span, worker_record,
-    SpanGuard,
+    counter_add, gauge_set, record_span, recording, reset, set_recording, snapshot, span,
+    worker_record, SpanGuard,
 };
 
 /// Runs `f` under a span named `name` and also returns its wall time.
@@ -252,6 +256,26 @@ mod recording_tests {
         set_recording(false);
         assert!(report.span("worker_phase").is_some());
         assert!(report.span("main_phase/worker_phase").is_none());
+    }
+
+    #[test]
+    fn record_span_nests_under_the_open_span() {
+        let _serial = registry_lock();
+        set_recording(true);
+        reset();
+        record_span("built", std::time::Duration::from_nanos(30));
+        {
+            let _outer = span("phase");
+            record_span("built", std::time::Duration::from_nanos(10));
+            record_span("built", std::time::Duration::from_nanos(20));
+        }
+        let report = snapshot();
+        set_recording(false);
+        let top = report.span("built").unwrap();
+        assert_eq!((top.count, top.total_ns), (1, 30));
+        let nested = report.span("phase/built").unwrap();
+        assert_eq!((nested.count, nested.total_ns), (2, 30));
+        assert_eq!((nested.min_ns, nested.max_ns), (10, 20));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use crate::report::{CounterStat, GaugeStat, Report, SpanStat, WorkerStat};
 
@@ -113,26 +113,7 @@ pub fn span(name: &str) -> SpanGuard {
     let prev = CURRENT.with(Cell::get);
     let (node, generation) = {
         let mut s = lock();
-        let generation = s.generation;
-        let found = s
-            .spans
-            .iter()
-            .position(|n| n.parent == prev && &*n.name == name);
-        let idx = match found {
-            Some(idx) => idx,
-            None => {
-                s.spans.push(SpanNode {
-                    name: name.into(),
-                    parent: prev,
-                    count: 0,
-                    total_ns: 0,
-                    min_ns: u64::MAX,
-                    max_ns: 0,
-                });
-                s.spans.len() - 1
-            }
-        };
-        (u32::try_from(idx).expect("span table bounded"), generation)
+        (s.node(prev, name), s.generation)
     };
     CURRENT.with(|c| c.set(node));
     SpanGuard {
@@ -145,22 +126,65 @@ pub fn span(name: &str) -> SpanGuard {
     }
 }
 
+/// Records one finished span of `elapsed` named `name`, nested under
+/// the innermost open span on this thread, as if a guard had been held
+/// that long. For work timed in pieces that no one guard can bracket,
+/// such as a builder's appends followed by its `build`.
+pub fn record_span(name: &str, elapsed: Duration) {
+    if !recording() {
+        return;
+    }
+    let parent = CURRENT.with(Cell::get);
+    let mut s = lock();
+    let node = s.node(parent, name);
+    s.spans[node as usize].add(elapsed);
+}
+
+impl State {
+    /// The span node `name` under `parent`, created on first visit.
+    fn node(&mut self, parent: u32, name: &str) -> u32 {
+        let found = self
+            .spans
+            .iter()
+            .position(|n| n.parent == parent && &*n.name == name);
+        let idx = found.unwrap_or_else(|| {
+            self.spans.push(SpanNode {
+                name: name.into(),
+                parent,
+                count: 0,
+                total_ns: 0,
+                min_ns: u64::MAX,
+                max_ns: 0,
+            });
+            self.spans.len() - 1
+        });
+        // er-lint: allow(panic) -- one node per distinct (parent, name) pair: a few dozen, never 2³²
+        u32::try_from(idx).expect("span table bounded")
+    }
+}
+
+impl SpanNode {
+    fn add(&mut self, elapsed: Duration) {
+        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        self.count += 1;
+        self.total_ns += ns;
+        self.min_ns = self.min_ns.min(ns);
+        self.max_ns = self.max_ns.max(ns);
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(open) = self.open.take() else {
             return;
         };
-        let elapsed_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let elapsed = open.start.elapsed();
         CURRENT.with(|c| c.set(open.prev));
         let mut s = lock();
         if s.generation != open.generation {
             return;
         }
-        let node = &mut s.spans[open.node as usize];
-        node.count += 1;
-        node.total_ns += elapsed_ns;
-        node.min_ns = node.min_ns.min(elapsed_ns);
-        node.max_ns = node.max_ns.max(elapsed_ns);
+        s.spans[open.node as usize].add(elapsed);
     }
 }
 

@@ -225,7 +225,7 @@ impl ServeEngine {
 pub fn resolve_batch<I, S>(texts: I, config: &ServeConfig) -> Snapshot
 where
     I: IntoIterator<Item = S>,
-    S: Into<String>,
+    S: AsRef<str>,
 {
     let pool = WorkerPool::with_policy(config.fusion.threads, config.fusion.dispatch);
     let corpus = CorpusBuilder::new()

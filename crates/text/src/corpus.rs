@@ -6,20 +6,87 @@
 //! that filter at build time so the bipartite graph, the baselines and the
 //! feature extractors all see the same filtered term universe.
 
-use crate::tokenize::{TermId, Vocabulary};
+use std::time::{Duration, Instant};
+
+use crate::streaming::StreamingCorpus;
+use crate::tokenize::{to_u32, TermId, Vocabulary};
+
+/// Rows of `T` stored flat (compressed sparse rows): row `i` is
+/// `values[offsets[i]..offsets[i + 1]]`, so a table of `n` rows is two
+/// allocations however many rows it has.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr<T> {
+    /// `n + 1` ascending offsets into `values`, starting at 0.
+    offsets: Vec<u32>,
+    /// Row `0`'s values, then row `1`'s, and so on.
+    pub(crate) values: Vec<T>,
+}
+
+impl<T: Copy> Default for Csr<T> {
+    fn default() -> Self {
+        Self::with_capacity(0, 0)
+    }
+}
+
+impl<T: Copy> Csr<T> {
+    fn with_capacity(rows: usize, values: usize) -> Self {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Self {
+            offsets,
+            values: Vec::with_capacity(values),
+        }
+    }
+
+    /// Number of rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Row `i`.
+    pub(crate) fn row(&self, i: usize) -> &[T] {
+        &self.values[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// Ends the row whose values were appended since the last row ended.
+    pub(crate) fn close_row(&mut self) {
+        self.offsets.push(to_u32(self.values.len()));
+    }
+
+    /// Keeps, in place and in order, the values `keep` accepts, closing
+    /// up every row.
+    fn retain(&mut self, keep: impl Fn(T) -> bool) {
+        let mut kept = 0;
+        let mut start = 0;
+        for end in &mut self.offsets[1..] {
+            for i in start..*end as usize {
+                let v = self.values[i];
+                if keep(v) {
+                    self.values[kept] = v;
+                    kept += 1;
+                }
+            }
+            start = *end as usize;
+            *end = kept as u32; // kept ≤ the old offset, which fits
+        }
+        self.values.truncate(kept);
+    }
+}
 
 /// Immutable tokenized corpus.
 ///
 /// Per record it stores both the **token list** (with duplicates, for term
 /// frequency) and the **term set** (sorted, deduplicated, for set-based
 /// similarity and the bipartite graph). An inverted index maps every term
-/// to the sorted list of records containing it.
+/// to the sorted list of records containing it. Each of the three is one
+/// flat table (compressed sparse rows: offsets plus values), two
+/// allocations rather than one per record or term.
 #[derive(Debug, Clone)]
 pub struct Corpus {
     vocab: Vocabulary,
-    tokens: Vec<Vec<TermId>>,
-    term_sets: Vec<Vec<TermId>>,
-    inverted: Vec<Vec<u32>>,
+    tokens: Csr<TermId>,
+    term_sets: Csr<TermId>,
+    postings: Csr<u32>,
     removed_terms: Vec<TermId>,
 }
 
@@ -28,62 +95,73 @@ impl Corpus {
     /// them — the one constructor behind [`CorpusBuilder::build`] and
     /// [`crate::StreamingCorpus::materialize`].
     ///
-    /// `tokens` holds each record's unfiltered token list and `vocab` the
-    /// document frequencies they were interned with. Terms occurring in
-    /// more than `max(⌊f·n⌋, 2)` of the `n` records are removed when a
-    /// `max_df_fraction` `f` is given; the clamp to 2 keeps tiny corpora
-    /// from losing every term, since a term must appear in two records
-    /// to form any candidate pair.
-    pub(crate) fn from_interned(
-        vocab: Vocabulary,
-        mut tokens: Vec<Vec<TermId>>,
-        max_df_fraction: Option<f64>,
-    ) -> Self {
-        let n = tokens.len();
+    /// `interned` holds the vocabulary and each record's raw token list,
+    /// with the document frequencies they were interned with. Terms
+    /// occurring in more than `max(⌊f·n⌋, 2)` of the `n` records are
+    /// removed when a `max_df_fraction` `f` is given; the clamp to 2
+    /// keeps tiny corpora from losing every term, since a term must
+    /// appear in two records to form any candidate pair.
+    pub(crate) fn from_interned(interned: StreamingCorpus, max_df_fraction: Option<f64>) -> Self {
+        let StreamingCorpus { vocab, mut tokens } = interned;
+        let n = tokens.rows();
         let cap = max_df_fraction.map_or(u32::MAX, |f| ((f * n as f64).floor() as u32).max(2));
 
-        let mut removed_terms = Vec::new();
-        let keep: Vec<bool> = (0..vocab.len())
-            .map(|i| {
-                let id = TermId(i as u32);
-                let ok = vocab.doc_freq(id) <= cap;
-                if !ok {
-                    removed_terms.push(id);
-                }
-                ok
-            })
+        let terms = vocab.len();
+        let keep: Vec<bool> = (0..terms)
+            .map(|i| vocab.doc_freq(TermId(i as u32)) <= cap)
             .collect();
+        let removed_terms: Vec<TermId> = (0..terms)
+            .filter(|&i| !keep[i])
+            .map(|i| TermId(i as u32))
+            .collect();
+        tokens.retain(|t| keep[t.index()]);
 
-        let mut term_sets: Vec<Vec<TermId>> = Vec::with_capacity(n);
-        let mut inverted: Vec<Vec<u32>> = vec![Vec::new(); vocab.len()];
-        for (r, toks) in tokens.iter_mut().enumerate() {
-            toks.retain(|t| keep[t.index()]);
-            let mut set = toks.clone();
+        // A kept term's postings row holds one entry per record that
+        // contains it: its document frequency. So the offsets come first
+        // and one pass over the term sets fills every row in record order.
+        let mut postings: Csr<u32> = Csr::with_capacity(terms, 0);
+        let mut total = 0;
+        for (i, &kept) in keep.iter().enumerate() {
+            if kept {
+                total += vocab.doc_freq(TermId(i as u32)) as usize;
+            }
+            postings.offsets.push(to_u32(total));
+        }
+        postings.values = vec![0; total];
+        let mut next: Vec<u32> = postings.offsets[..terms].to_vec();
+        let mut term_sets = Csr::with_capacity(n, total);
+        let mut set = Vec::new();
+        for r in 0..n {
+            set.clear();
+            set.extend_from_slice(tokens.row(r));
             set.sort_unstable();
             set.dedup();
             for &t in &set {
-                inverted[t.index()].push(r as u32);
+                let slot = &mut next[t.index()];
+                postings.values[*slot as usize] = r as u32; // r < n, a checked u32
+                *slot += 1;
             }
-            term_sets.push(set);
+            term_sets.values.extend_from_slice(&set);
+            term_sets.close_row();
         }
 
         Self {
             vocab,
             tokens,
             term_sets,
-            inverted,
+            postings,
             removed_terms,
         }
     }
 
     /// Number of records.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.tokens.rows()
     }
 
     /// True when the corpus holds no records.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct terms in the vocabulary (including filtered ones).
@@ -99,17 +177,17 @@ impl Corpus {
     /// Token list of record `r` (after frequent-term filtering), with
     /// duplicates and in original order.
     pub fn tokens(&self, r: usize) -> &[TermId] {
-        &self.tokens[r]
+        self.tokens.row(r)
     }
 
     /// Sorted, deduplicated term set of record `r`.
     pub fn term_set(&self, r: usize) -> &[TermId] {
-        &self.term_sets[r]
+        self.term_sets.row(r)
     }
 
     /// Sorted record ids containing term `t` (empty for filtered terms).
     pub fn postings(&self, t: TermId) -> &[u32] {
-        &self.inverted[t.index()]
+        self.postings.row(t.index())
     }
 
     /// Terms removed by the frequent-term filter at build time.
@@ -119,28 +197,26 @@ impl Corpus {
 
     /// Document frequency of `t` **after** filtering (0 if removed).
     pub fn filtered_doc_freq(&self, t: TermId) -> u32 {
-        self.inverted[t.index()].len() as u32
+        self.postings(t).len() as u32
     }
 
     /// Terms shared by records `i` and `j` (sorted merge of the two term
     /// sets — O(|i| + |j|)).
     pub fn shared_terms(&self, i: usize, j: usize) -> Vec<TermId> {
-        intersect_sorted(&self.term_sets[i], &self.term_sets[j])
+        intersect_sorted(self.term_set(i), self.term_set(j))
     }
 
     /// Number of terms shared by records `i` and `j` without allocating.
     pub fn shared_term_count(&self, i: usize, j: usize) -> usize {
-        count_intersect_sorted(&self.term_sets[i], &self.term_sets[j])
+        count_intersect_sorted(self.term_set(i), self.term_set(j))
     }
 
     /// Iterates `(TermId, postings)` over terms that survived filtering and
     /// occur in at least `min_records` records.
     pub fn terms_with_min_df(&self, min_records: usize) -> impl Iterator<Item = (TermId, &[u32])> {
-        self.inverted
-            .iter()
-            .enumerate()
+        (0..self.vocab_len())
+            .map(|i| (TermId(i as u32), self.postings.row(i)))
             .filter(move |(_, recs)| recs.len() >= min_records)
-            .map(|(i, recs)| (TermId(i as u32), recs.as_slice()))
     }
 }
 
@@ -193,10 +269,18 @@ pub fn validate_max_df_fraction(fraction: f64) -> Result<(), String> {
 }
 
 /// Builds a [`Corpus`] from raw record texts.
+///
+/// Texts are interned as they arrive, into the accumulator a
+/// [`StreamingCorpus`] keeps, so no text is copied and
+/// [`CorpusBuilder::build`] and [`StreamingCorpus::materialize`] finish
+/// through the same constructor.
 #[derive(Debug, Default)]
 pub struct CorpusBuilder {
-    texts: Vec<String>,
+    interned: StreamingCorpus,
     max_df_fraction: Option<f64>,
+    /// Time spent interning while er-obs was recording: the share of the
+    /// `corpus.build` span that ran before `build`.
+    interning: Duration,
 }
 
 impl CorpusBuilder {
@@ -206,18 +290,23 @@ impl CorpusBuilder {
     }
 
     /// Adds one record's raw text.
-    pub fn push_text(mut self, text: impl Into<String>) -> Self {
-        self.texts.push(text.into());
-        self
+    pub fn push_text(self, text: impl AsRef<str>) -> Self {
+        self.extend_texts([text])
     }
 
     /// Adds many records' raw texts.
     pub fn extend_texts<I, S>(mut self, texts: I) -> Self
     where
         I: IntoIterator<Item = S>,
-        S: Into<String>,
+        S: AsRef<str>,
     {
-        self.texts.extend(texts.into_iter().map(Into::into));
+        let start = er_obs::recording().then(Instant::now);
+        for text in texts {
+            self.interned.push_record(text.as_ref());
+        }
+        if let Some(start) = start {
+            self.interning += start.elapsed();
+        }
         self
     }
 
@@ -232,15 +321,19 @@ impl CorpusBuilder {
         self
     }
 
-    /// Tokenizes, interns, filters and indexes all records.
+    /// Filters and indexes the interned records.
+    ///
+    /// Records one `corpus.build` span (the interning plus this call),
+    /// adds the interned tokens to `corpus_tokens_total` and sets
+    /// `corpus_terms` to the vocabulary size.
     pub fn build(self) -> Corpus {
-        let mut vocab = Vocabulary::new();
-        let tokens: Vec<Vec<TermId>> = self
-            .texts
-            .iter()
-            .map(|text| vocab.intern_record(text))
-            .collect();
-        Corpus::from_interned(vocab, tokens, self.max_df_fraction)
+        let start = Instant::now();
+        let tokens = self.interned.tokens.values.len();
+        let corpus = Corpus::from_interned(self.interned, self.max_df_fraction);
+        er_obs::record_span("corpus.build", self.interning + start.elapsed());
+        er_obs::counter_add("corpus_tokens_total", tokens as u64);
+        er_obs::gauge_set("corpus_terms", corpus.vocab_len() as f64);
+        corpus
     }
 }
 

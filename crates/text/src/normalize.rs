@@ -14,23 +14,8 @@
 /// assert_eq!(er_text::normalize("Sony PSLX350H, Turntable!"), "sony pslx350h  turntable ");
 /// ```
 pub fn normalize(input: &str) -> String {
-    let mut out = String::with_capacity(input.len());
-    for ch in input.chars() {
-        if ch.is_ascii() {
-            let b = ch as u8;
-            if b.is_ascii_alphanumeric() {
-                out.push(b.to_ascii_lowercase() as char);
-            } else {
-                out.push(' ');
-            }
-        } else if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-        } else {
-            out.push(' ');
-        }
-    }
+    let mut out = String::new();
+    normalize_into(input, &mut out);
     out
 }
 
@@ -40,21 +25,24 @@ pub fn normalize_into(input: &str, out: &mut String) {
     out.clear();
     out.reserve(input.len());
     for ch in input.chars() {
-        if ch.is_ascii() {
-            let b = ch as u8;
-            if b.is_ascii_alphanumeric() {
-                out.push(b.to_ascii_lowercase() as char);
-            } else {
-                out.push(' ');
-            }
-        } else if ch.is_alphanumeric() {
-            for lc in ch.to_lowercase() {
-                out.push(lc);
-            }
-        } else {
+        if !push_folded(ch, out) {
             out.push(' ');
         }
     }
+}
+
+/// Appends `ch` lowercased to `out` and returns true when it is
+/// alphanumeric; returns false, appending nothing, for any other
+/// character. No lowercase form contains whitespace.
+pub(crate) fn push_folded(ch: char, out: &mut String) -> bool {
+    if ch.is_ascii_alphanumeric() {
+        out.push(ch.to_ascii_lowercase());
+    } else if !ch.is_ascii() && ch.is_alphanumeric() {
+        out.extend(ch.to_lowercase());
+    } else {
+        return false;
+    }
+    true
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! module keeps only what interning must carry across appends — the
 //! [`Vocabulary`] (term ids and document frequencies) and each record's
 //! unfiltered token list — and **materializes** a `Corpus` on demand.
+//! The batch builder interns into this same accumulator.
 //!
 //! The frequent-term cap is `max(⌊f·n⌋, 2)` and therefore moves with
 //! the record count `n`: a term can be filtered at one corpus size and
@@ -18,16 +19,21 @@
 //! bit-identity guarantee rests on (pinned by the tests below and
 //! `tests/prop_streaming.rs`).
 
-use crate::corpus::{validate_max_df_fraction, Corpus};
-use crate::tokenize::{TermId, Vocabulary};
+use crate::corpus::{validate_max_df_fraction, Corpus, Csr};
+use crate::tokenize::{to_u32, TermId, Vocabulary};
 
 /// An append-only corpus accumulator: ingest texts, materialize a
 /// filtered [`Corpus`] snapshot whenever a resolve needs one.
-#[derive(Debug, Default)]
+///
+/// It is flat: the vocabulary keeps every term's bytes in one arena and
+/// the token lists are one offsets array plus one value array, so
+/// cloning it for [`StreamingCorpus::materialize`] is a handful of
+/// `memcpy`s.
+#[derive(Debug, Default, Clone)]
 pub struct StreamingCorpus {
-    vocab: Vocabulary,
+    pub(crate) vocab: Vocabulary,
     /// Unfiltered token list per record (duplicates, original order).
-    tokens: Vec<Vec<TermId>>,
+    pub(crate) tokens: Csr<TermId>,
 }
 
 impl StreamingCorpus {
@@ -38,12 +44,12 @@ impl StreamingCorpus {
 
     /// Number of ingested records.
     pub fn len(&self) -> usize {
-        self.tokens.len()
+        self.tokens.rows()
     }
 
     /// True when nothing has been ingested.
     pub fn is_empty(&self) -> bool {
-        self.tokens.is_empty()
+        self.len() == 0
     }
 
     /// The interning vocabulary (term ids are stable under appends).
@@ -53,8 +59,9 @@ impl StreamingCorpus {
 
     /// Tokenizes and interns one record, returning its id.
     pub fn push_record(&mut self, text: &str) -> u32 {
-        let r = self.tokens.len() as u32;
-        self.tokens.push(self.vocab.intern_record(text));
+        let r = to_u32(self.len());
+        self.vocab.intern_record(text, &mut self.tokens.values);
+        self.tokens.close_row();
         r
     }
 
@@ -67,11 +74,7 @@ impl StreamingCorpus {
             panic!("{e}"); // er-lint: allow(panic) -- an out-of-range cap is a caller bug; `validate_max_df_fraction` checks it up front
         }
         let _span = er_obs::span("streaming.materialize");
-        Corpus::from_interned(
-            self.vocab.clone(),
-            self.tokens.clone(),
-            Some(max_df_fraction),
-        )
+        Corpus::from_interned(self.clone(), Some(max_df_fraction))
     }
 }
 

@@ -1,6 +1,6 @@
 //! Steady-state allocation contracts of the hot per-element loops.
 //!
-//! Three subsystems promise zero heap allocations once warm:
+//! Four subsystems promise zero heap allocations once warm:
 //!
 //! * **CliqueRank recurrence** — after a warm-up solve has grown the
 //!   scratch arena, the pack buffers, and the edge-set CSR scratch to
@@ -19,8 +19,13 @@
 //!   its working vectors and the live view of the graph (the terms with
 //!   `P_t > 0`, the pairs with `p > 0`, the compacted term rows) all
 //!   reuse the scratch's capacity.
+//! * **Record interning** — once a vocabulary has seen a record's terms
+//!   and its token buffer has grown to the record's longest token,
+//!   `Vocabulary::intern_record` appending into a caller's token list
+//!   with spare capacity allocates nothing: no `String` or `Vec` per
+//!   record.
 //!
-//! A counting global allocator pins all three contracts; any regression (a
+//! A counting global allocator pins all four contracts; any regression (a
 //! stray `clone`, a `Vec` built inside the step loop, a mask row dropped
 //! and rebuilt per pair) turns into a test failure rather than a silent
 //! slowdown.
@@ -50,7 +55,7 @@ use er_core::{
 };
 use er_graph::{bipartite::PairNode, BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
-use er_text::{BatchScorer, CorpusBuilder, SimKernel};
+use er_text::{BatchScorer, CorpusBuilder, SimKernel, TermId, Vocabulary};
 
 /// Delegates to the system allocator, counting allocation calls while
 /// armed. `realloc`/`alloc_zeroed` use the `GlobalAlloc` defaults, which
@@ -279,6 +284,41 @@ fn assert_iter_steady_state() {
     }
 }
 
+/// Warm record interning must be alloc-free: a warm-up pass interns
+/// every term (growing the id table and the arena) and grows the token
+/// buffer; re-interning the same texts into a token list with spare
+/// capacity then allocates nothing. The texts cover
+/// letters whose lowercase is longer than the original, repeats within
+/// a record, and records with no tokens.
+fn assert_interning_steady_state() {
+    let texts = [
+        "Fenix at the Argyle, 8358 Sunset Blvd.",
+        "İSTANBUL ẞtrasse café TRÈS münchen",
+        "",
+        "  ;; -- ",
+        "la la land la la",
+        "fenix sunset İstanbul 8358",
+    ];
+    let mut vocab = Vocabulary::new();
+    let mut warm = Vec::new();
+    for text in texts {
+        vocab.intern_record(text, &mut warm);
+    }
+    let df: Vec<u32> = vocab.iter().map(|(_, _, df)| df).collect();
+    let mut tokens: Vec<TermId> = Vec::with_capacity(4 * warm.len());
+    let allocs = count_allocs(|| {
+        for _ in 0..3 {
+            for text in texts {
+                vocab.intern_record(text, &mut tokens);
+            }
+        }
+    });
+    assert_eq!(allocs, 0, "warm record interning must not allocate");
+    assert_eq!(tokens, warm.repeat(3), "re-interning yields the same ids");
+    let after: Vec<u32> = vocab.iter().map(|(_, _, df)| df).collect();
+    assert_eq!(after, df.iter().map(|d| 4 * d).collect::<Vec<_>>());
+}
+
 #[test]
 fn cliquerank_recurrence_steady_state_allocates_nothing() {
     let unmasked = CliqueRankConfig {
@@ -300,4 +340,5 @@ fn cliquerank_recurrence_steady_state_allocates_nothing() {
     assert_steady_state_alloc_free(&even_cycle(), &config(Kernel::Sparse), "sparse early exit");
     assert_batch_scorer_steady_state();
     assert_iter_steady_state();
+    assert_interning_steady_state();
 }

@@ -23,7 +23,7 @@ use crate::lint::source::SourceModel;
 use crate::lint::Violation;
 
 /// `er_obs::<fn>` entry points that register a name.
-const EMITTERS: [&str; 4] = ["span", "counter_add", "gauge_set", "time"];
+const EMITTERS: [&str; 5] = ["span", "record_span", "counter_add", "gauge_set", "time"];
 
 /// One name registration, carried to the global uniqueness pass.
 #[derive(Debug)]
