@@ -77,6 +77,9 @@ use crate::sparse_kernel::{sparse_step_cost, Product, SparseScratch};
 pub struct CliqueScratch {
     arena: MatrixArena,
     pack: PackScratch,
+    /// The bonus factors of a [`solve_component_into`] call; a
+    /// [`run_cliquerank`] run computes its factors once and lends them
+    /// to every solve instead.
     bonus: Vec<f64>,
     /// The gather's dense column buffers: `nc` doubles per row band (one
     /// band for a serial step), all `+0.0` between rows.
@@ -116,8 +119,20 @@ pub fn run_cliquerank(
         "cliquerank_largest_component",
         solvable.iter().map(|m| m.len()).max().unwrap_or(0) as f64,
     );
+    // The `(1 + b)^α` factors depend on the config alone: one set serves
+    // every component of the run.
+    let mut bonus = Vec::new();
+    bonus_samples_into(config, &mut bonus);
     let mut scratch = CliqueScratch::default();
-    solve_components(graph, &solvable, config, pool, &mut out, &mut scratch);
+    solve_components(
+        graph,
+        &solvable,
+        config,
+        &bonus,
+        pool,
+        &mut out,
+        &mut scratch,
+    );
     out
 }
 
@@ -168,11 +183,13 @@ fn component_cost(
 }
 
 /// The component scheduler: solves every component of `comps` into
-/// `out`, with `scratch` serving the caller thread's solves.
+/// `out` with the run's bonus factors `bonus`, with `scratch` serving
+/// the caller thread's solves.
 fn solve_components(
     graph: &RecordGraph,
     comps: &[&[u32]],
     config: &CliqueRankConfig,
+    bonus: &[f64],
     pool: &WorkerPool,
     out: &mut [f64],
     scratch: &mut CliqueScratch,
@@ -191,6 +208,7 @@ fn solve_components(
                 cost,
                 &mut local_of,
                 config,
+                bonus,
                 None,
                 out,
                 scratch,
@@ -223,6 +241,7 @@ fn solve_components(
             costs[i],
             &mut local_of,
             config,
+            bonus,
             Some(pool),
             out,
             scratch,
@@ -261,6 +280,7 @@ fn solve_components(
                         costs[i],
                         &mut local_of,
                         config,
+                        bonus,
                         None,
                         &mut local_out,
                         &mut scratch,
@@ -307,6 +327,7 @@ fn solve_mapped(
     cost: ComponentCost,
     local_of: &mut [u32],
     config: &CliqueRankConfig,
+    bonus: &[f64],
     pool: Option<&WorkerPool>,
     out: &mut [f64],
     scratch: &mut CliqueScratch,
@@ -314,7 +335,9 @@ fn solve_mapped(
     for (li, &g) in members.iter().enumerate() {
         local_of[g as usize] = li as u32;
     }
-    solve_component(graph, members, local_of, cost, config, pool, out, scratch);
+    solve_component(
+        graph, members, local_of, cost, config, bonus, pool, out, scratch,
+    );
     for &g in members {
         local_of[g as usize] = u32::MAX;
     }
@@ -338,15 +361,21 @@ pub fn solve_component_into(
     scratch: &mut CliqueScratch,
 ) {
     let cost = component_cost(graph, members, config);
-    solve_component(graph, members, local_of, cost, config, None, out, scratch);
+    let mut bonus = std::mem::take(&mut scratch.bonus);
+    bonus_samples_into(config, &mut bonus);
+    solve_component(
+        graph, members, local_of, cost, config, &bonus, None, out, scratch,
+    );
+    scratch.bonus = bonus;
 }
 
-/// Solves one connected component with the kernel `cost` picked,
-/// writing edge probabilities into `out`, and returns the recurrence
-/// steps run. The edge set, the coefficients, the recurrence and the
-/// write-out are the same for both kernels; only the step's product
-/// differs (see [`crate::sparse_kernel`]). `pool`, when given, runs the
-/// steps in parallel past its dispatch cutover.
+/// Solves one connected component with the kernel `cost` picked and the
+/// bonus factors `bonus` ([`bonus_samples_into`]), writing edge
+/// probabilities into `out`, and returns the recurrence steps run. The
+/// edge set, the coefficients, the recurrence and the write-out are the
+/// same for both kernels; only the step's product differs (see
+/// [`crate::sparse_kernel`]). `pool`, when given, runs the steps in
+/// parallel past its dispatch cutover.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_component(
     graph: &RecordGraph,
@@ -354,6 +383,7 @@ pub(crate) fn solve_component(
     local_of: &[u32],
     cost: ComponentCost,
     config: &CliqueRankConfig,
+    bonus: &[f64],
     pool: Option<&WorkerPool>,
     out: &mut [f64],
     scratch: &mut CliqueScratch,
@@ -361,11 +391,10 @@ pub(crate) fn solve_component(
     let CliqueScratch {
         arena,
         pack,
-        bonus,
+        bonus: _,
         cols,
         edges,
     } = scratch;
-    bonus_samples_into(config, bonus);
     edges.build(
         graph,
         members,

@@ -962,7 +962,9 @@ mod tests {
             sparse: kernel == Kernel::Sparse,
             work: usize::MAX,
         };
-        solve_component(g, members, local_of, cost, cfg, pool, out, scratch)
+        let mut bonus = Vec::new();
+        bonus_samples_into(cfg, &mut bonus);
+        solve_component(g, members, local_of, cost, cfg, &bonus, pool, out, scratch)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {

@@ -43,10 +43,17 @@ pub const SEED_KERNEL: SimKernel = SimKernel::JaroWinkler;
 
 /// Batched seed similarities for every candidate pair of `graph`,
 /// aligned with `graph.pairs()`: [`SEED_KERNEL`] over the record texts
-/// on the string tape. Bit-identical at any thread count.
+/// on the string tape. The tape holds text only for the records the
+/// pairs name; the scores equal [`BatchScorer::new`]'s bit for bit, at
+/// any thread count.
 pub fn seed_similarities(corpus: &Corpus, graph: &BipartiteGraph, pool: &WorkerPool) -> Vec<f64> {
-    let scorer = BatchScorer::new(corpus);
     let idx: Vec<(u32, u32)> = graph.pairs().iter().map(|p| (p.a, p.b)).collect();
+    let mut named = vec![false; corpus.len()];
+    for &(a, b) in &idx {
+        named[a as usize] = true;
+        named[b as usize] = true;
+    }
+    let scorer = BatchScorer::for_records(corpus, |r| named[r]);
     scorer.score(SEED_KERNEL, &idx, pool)
 }
 
@@ -146,13 +153,19 @@ impl BlockingStrategy {
                 max_block_size,
             } => lsh_blocking(corpus, params, *max_block_size, pool, signatures),
             Self::Meta(m) => {
+                // The LSH buckets are grouped before the token blocks
+                // exist, so the grouping's band keys and pass buffer
+                // never sit beside them; the union still lists the token
+                // blocks first.
+                let buckets = m
+                    .lsh
+                    .map(|params| BlockCollection::from_lsh(corpus, &params, pool, signatures));
                 let mut blocks = if m.token_blocks {
                     BlockCollection::from_token_blocks(corpus)
                 } else {
                     BlockCollection::new()
                 };
-                if let Some(params) = &m.lsh {
-                    let buckets = BlockCollection::from_lsh(corpus, params, pool, signatures);
+                if let Some(buckets) = buckets {
                     blocks.extend_from(&buckets);
                 }
                 meta_block(&blocks, corpus.len(), &m.config, pool)

@@ -170,8 +170,8 @@ fn band_keys_for_range(
 
 /// MinHash band bucket keys for every record, row-major:
 /// `keys[r * bands + band]`. Records with empty (post-filter) term sets
-/// get the same degenerate all-max signature; [`lsh_bucket_entries`]
-/// skips them, since they cannot share a term with anything.
+/// get the same degenerate all-max signature; bucketing skips them,
+/// since they cannot share a term with anything.
 ///
 /// Parallelized over disjoint record ranges behind the pool's cost
 /// model, with the signature row as per-worker scratch
@@ -303,31 +303,203 @@ pub fn minhash_band_keys_cached<'c>(
     &cache.keys
 }
 
-/// Groups row-major band keys into sorted `(bucket key, record)`
-/// entries, skipping records with empty (post-filter) term sets.
-fn entries_from_keys(corpus: &Corpus, params: &LshParams, keys: &[u64]) -> Vec<(u64, u32)> {
+/// Passes of [`entries_from_keys`] over the band keys. Each pass
+/// scatters about `1 / GROUPING_PASSES` of the entries into one reused
+/// buffer, so the buffer stays a fixed fraction of the entries and the
+/// pass count does not grow with the corpus.
+const GROUPING_PASSES: usize = 4;
+
+/// Target entries per key partition, so that each partition's key-count
+/// table and sort stay in cache. Unit tests use tiny partitions, so that
+/// their small inputs cross partition and pass boundaries.
+const PARTITION_ENTRIES: usize = if cfg!(test) { 4 } else { 4096 };
+
+/// At most 2¹⁶ partitions: the per-partition counts stay small next to
+/// the keys.
+const MAX_PARTITION_BITS: u32 = 16;
+
+/// Groups row-major band keys into the sorted, deduplicated
+/// `(bucket key, record)` entries of the buckets that hold at least 2
+/// distinct entries, skipping records with empty (post-filter) term
+/// sets. A singleton entry is never stored.
+///
+/// The entries are split into partitions by the top bits of their key,
+/// and `passes` runs of consecutive partitions are each scattered into
+/// one reused buffer. Each partition then keeps the entries whose key
+/// it holds at least twice ([`KeyCounts`]), sorts them on its own, and
+/// drops the runs of fewer than 2 distinct entries. Partitions follow
+/// key order, so the runs' outputs concatenate in sorted order. A
+/// partition larger than a pass (many equal keys) takes a pass of its
+/// own.
+fn entries_from_keys(
+    corpus: &Corpus,
+    params: &LshParams,
+    keys: &[u64],
+    passes: usize,
+) -> Vec<(u64, u32)> {
     let _span = er_obs::span("blocking.lsh.bucket_sort");
-    let mut entries: Vec<(u64, u32)> = Vec::with_capacity(keys.len());
-    for r in 0..corpus.len() {
-        if corpus.term_set(r).is_empty() {
-            continue;
-        }
-        for band in 0..params.bands {
-            entries.push((keys[r * params.bands + band], r as u32));
+    // Each record's band keys, for the records with a non-empty term set.
+    let rows = || {
+        keys.chunks_exact(params.bands)
+            .enumerate()
+            .filter(|&(r, _)| !corpus.term_set(r).is_empty())
+    };
+    let total = rows().count() * params.bands;
+    let bits = total
+        .div_ceil(PARTITION_ENTRIES)
+        .next_power_of_two()
+        .trailing_zeros()
+        .min(MAX_PARTITION_BITS);
+    // The key's top `bits` bits, shifted in two steps so that `bits = 0`
+    // (a single partition) needs no branch.
+    let partition = |key: u64| ((key >> 1) >> (63 - bits)) as usize;
+    let n_parts = 1usize << bits;
+    let mut starts = vec![0usize; n_parts + 1];
+    for (_, row) in rows() {
+        for &key in row {
+            starts[partition(key) + 1] += 1;
         }
     }
-    entries.sort_unstable();
-    entries.dedup();
-    entries
+    for p in 0..n_parts {
+        starts[p + 1] += starts[p];
+    }
+
+    // Pass `i` ends at the first partition boundary holding at least
+    // `i / passes` of the entries.
+    let passes = passes.max(1);
+    let mut runs: Vec<Range<usize>> = Vec::with_capacity(passes);
+    let mut lo = 0usize;
+    for i in 1..=passes {
+        let hi = if i == passes {
+            n_parts
+        } else {
+            let goal = total / passes * i + total % passes * i / passes;
+            starts.partition_point(|&s| s < goal).clamp(lo, n_parts)
+        };
+        if starts[hi] > starts[lo] {
+            runs.push(lo..hi);
+        }
+        lo = hi;
+    }
+    let buf_len = runs
+        .iter()
+        .map(|run| starts[run.end] - starts[run.start])
+        .max()
+        .unwrap_or(0);
+    let mut buf = vec![(0u64, 0u32); buf_len];
+    let mut cursor = vec![0usize; n_parts];
+    let mut counts = KeyCounts::default();
+    let mut out: Vec<(u64, u32)> = Vec::new();
+    for run in runs {
+        let base = starts[run.start];
+        let pass = &mut buf[..starts[run.end] - base];
+        for p in run.clone() {
+            cursor[p] = starts[p] - base;
+        }
+        for (r, row) in rows() {
+            for &key in row {
+                let p = partition(key);
+                if p.wrapping_sub(run.start) < run.len() {
+                    pass[cursor[p]] = (key, r as u32);
+                    cursor[p] += 1;
+                }
+            }
+        }
+        // Each partition moves the entries of its repeated keys to its
+        // front, in place, and sorts them; `cursor[p]` becomes their
+        // count.
+        for p in run.clone() {
+            let part = &mut pass[starts[p] - base..starts[p + 1] - base];
+            counts.fill(part);
+            let mut kept = 0;
+            for i in 0..part.len() {
+                if counts.get(part[i].0) >= 2 {
+                    part[kept] = part[i];
+                    kept += 1;
+                }
+            }
+            part[..kept].sort_unstable();
+            cursor[p] = kept;
+        }
+        // Equal keys share a partition, so no bucket straddles two.
+        let buckets = || {
+            run.clone().flat_map(|p| {
+                let at = starts[p] - base;
+                pass[at..at + cursor[p]].chunk_by(|x, y| x.0 == y.0)
+            })
+        };
+        out.reserve_exact(buckets().map(|b| colliding(b).count()).sum());
+        for bucket in buckets() {
+            out.extend(colliding(bucket));
+        }
+    }
+    er_obs::counter_add("blocking.lsh.colliding_entries", out.len() as u64);
+    out
 }
 
-/// Sorted `(bucket key, record)` entries — one per (record, band) for
-/// records with non-empty term sets. Equal keys form an LSH bucket; the
-/// sort makes downstream grouping deterministic.
+/// How often each key occurs in one partition's entries: an
+/// open-addressing table (linear probing, at most half full, slots
+/// picked by [`mix64`] of the key), reused from partition to partition.
+#[derive(Debug, Default)]
+struct KeyCounts {
+    /// `keys[s]` is meaningful only where `counts[s] > 0`.
+    keys: Vec<u64>,
+    counts: Vec<u32>,
+}
+
+impl KeyCounts {
+    /// Counts the keys of `entries`, forgetting every earlier partition.
+    fn fill(&mut self, entries: &[(u64, u32)]) {
+        let slots = (2 * entries.len()).next_power_of_two();
+        self.counts.clear();
+        self.counts.resize(slots, 0);
+        self.keys.resize(slots, 0);
+        for &(key, _) in entries {
+            let s = self.slot(key);
+            self.keys[s] = key;
+            self.counts[s] = self.counts[s].saturating_add(1);
+        }
+    }
+
+    /// Occurrences of `key` among the entries last filled.
+    fn get(&self, key: u64) -> u32 {
+        self.counts[self.slot(key)]
+    }
+
+    /// The slot holding `key`, or the empty slot where it would go.
+    fn slot(&self, key: u64) -> usize {
+        let mask = self.counts.len() - 1;
+        let mut s = mix64(key) as usize & mask;
+        while self.counts[s] != 0 && self.keys[s] != key {
+            s = (s + 1) & mask;
+        }
+        s
+    }
+}
+
+/// The distinct entries of one sorted bucket, or none when it holds
+/// fewer than 2 distinct entries. Entries of a bucket differ only in
+/// their record, so the bucket collides iff its first and last record
+/// differ.
+fn colliding(bucket: &[(u64, u32)]) -> impl Iterator<Item = (u64, u32)> + '_ {
+    let collides = bucket.first().map(|e| e.1) != bucket.last().map(|e| e.1);
+    bucket
+        .iter()
+        .enumerate()
+        .filter(move |&(i, e)| collides && (i == 0 || bucket[i - 1] != *e))
+        .map(|(_, &e)| e)
+}
+
+/// Sorted `(bucket key, record)` entries of the LSH buckets that hold at
+/// least 2 distinct records — one entry per (record, band) of a record
+/// with a non-empty term set, kept only when another record shares the
+/// band's key. Equal keys form an LSH bucket; the sort makes downstream
+/// grouping deterministic. The entries of singleton buckets are never
+/// stored.
 ///
 /// `signatures`, when given, maintains the band keys incrementally
 /// ([`minhash_band_keys_cached`]); the output is identical either way.
-pub fn lsh_bucket_entries(
+pub(crate) fn lsh_bucket_entries(
     corpus: &Corpus,
     params: &LshParams,
     pool: &WorkerPool,
@@ -336,9 +508,14 @@ pub fn lsh_bucket_entries(
     match signatures {
         Some(cache) => {
             let keys = minhash_band_keys_cached(corpus, params, pool, cache);
-            entries_from_keys(corpus, params, keys)
+            entries_from_keys(corpus, params, keys, GROUPING_PASSES)
         }
-        None => entries_from_keys(corpus, params, &minhash_band_keys(corpus, params, pool)),
+        None => entries_from_keys(
+            corpus,
+            params,
+            &minhash_band_keys(corpus, params, pool),
+            GROUPING_PASSES,
+        ),
     }
 }
 
@@ -367,8 +544,9 @@ pub fn lsh_blocking(
     pairs_from_entries(corpus, &entries, max_block_size)
 }
 
-/// Expands sorted bucket entries into the sorted, deduplicated
-/// candidate-pair list, skipping oversized buckets.
+/// Expands sorted colliding bucket entries (every bucket holds at
+/// least 2) into the sorted, deduplicated candidate-pair list, skipping
+/// oversized buckets.
 fn pairs_from_entries(
     corpus: &Corpus,
     entries: &[(u64, u32)],
@@ -377,28 +555,17 @@ fn pairs_from_entries(
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     let mut buckets = 0u64;
     let mut oversized = 0u64;
-    let mut start = 0usize;
-    while start < entries.len() {
-        let key = entries[start].0;
-        let mut end = start + 1;
-        while end < entries.len() && entries[end].0 == key {
-            end += 1;
+    for bucket in entries.chunk_by(|x, y| x.0 == y.0) {
+        buckets += 1;
+        if bucket.len() > max_block_size {
+            oversized += 1;
+            continue;
         }
-        let size = end - start;
-        if size >= 2 {
-            buckets += 1;
-            if size > max_block_size {
-                oversized += 1;
-            } else {
-                for i in start..end {
-                    for j in i + 1..end {
-                        let (a, b) = (entries[i].1, entries[j].1);
-                        pairs.push(if a < b { (a, b) } else { (b, a) });
-                    }
-                }
+        for (i, &(_, a)) in bucket.iter().enumerate() {
+            for &(_, b) in &bucket[i + 1..] {
+                pairs.push(if a < b { (a, b) } else { (b, a) });
             }
         }
-        start = end;
     }
     pairs.sort_unstable();
     pairs.dedup();
@@ -560,6 +727,114 @@ mod tests {
         assert_eq!(uncapped.len(), 45); // C(10, 2)
         let capped = lsh_blocking(&c, &LshParams::default(), 4, &pool, None);
         assert!(capped.is_empty(), "{capped:?}");
+    }
+
+    /// The grouping the partitioned passes replaced, kept as the oracle:
+    /// every entry sorted and deduplicated, then buckets with fewer than
+    /// 2 distinct entries dropped.
+    fn all_entries_oracle(corpus: &Corpus, params: &LshParams, keys: &[u64]) -> Vec<(u64, u32)> {
+        let mut entries: Vec<(u64, u32)> = Vec::new();
+        for r in 0..corpus.len() {
+            if corpus.term_set(r).is_empty() {
+                continue;
+            }
+            for band in 0..params.bands {
+                entries.push((keys[r * params.bands + band], r as u32));
+            }
+        }
+        entries.sort_unstable();
+        entries.dedup();
+        let mut out = Vec::new();
+        let mut start = 0usize;
+        while start < entries.len() {
+            let mut end = start + 1;
+            while end < entries.len() && entries[end].0 == entries[start].0 {
+                end += 1;
+            }
+            if end - start >= 2 {
+                out.extend_from_slice(&entries[start..end]);
+            }
+            start = end;
+        }
+        out
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `n` records, each holding one term of its own, except those
+        /// `empty` marks, which hold none.
+        fn records(empty: &[bool]) -> Corpus {
+            let texts: Vec<String> = empty
+                .iter()
+                .enumerate()
+                .map(|(r, &e)| if e { String::new() } else { format!("w{r}") })
+                .collect();
+            CorpusBuilder::new().extend_texts(texts).build()
+        }
+
+        /// Row-major keys of one of four shapes: all equal, differing
+        /// only in their low bits, drawn from a few values spread over
+        /// the whole key range, or a mix of those.
+        fn keys(len: usize) -> impl Strategy<Value = Vec<u64>> {
+            (
+                0usize..4,
+                proptest::collection::vec((0u64..8, 0u64..8, 0u64..3), len),
+            )
+                .prop_map(|(shape, draws)| {
+                    draws
+                        .into_iter()
+                        .map(|(hi, lo, pick)| match (shape, pick) {
+                            (0, _) => 0x5EED_5EED_5EED_5EED,
+                            (1, _) | (3, 0) => 0xABCD_0000_0000_0000 | lo,
+                            _ => hi.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ lo,
+                        })
+                        .collect()
+                })
+        }
+
+        fn input() -> impl Strategy<Value = (Vec<bool>, usize, Vec<u64>)> {
+            (proptest::collection::vec(0u32..6, 0..40), 1usize..5).prop_flat_map(
+                |(marks, bands)| {
+                    let empty: Vec<bool> = marks.iter().map(|&m| m == 0).collect();
+                    let len = empty.len() * bands;
+                    (Just(empty), Just(bands), keys(len))
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The partitioned grouping equals the oracle at 1, 2, 3 and
+            /// 7 passes and at the default.
+            #[test]
+            fn grouping_matches_sort_everything_oracle((empty, bands, keys) in input()) {
+                let corpus = records(&empty);
+                let params = LshParams::new(bands, 1);
+                let want = all_entries_oracle(&corpus, &params, &keys);
+                for passes in [1usize, 2, 3, 7, GROUPING_PASSES] {
+                    let got = entries_from_keys(&corpus, &params, &keys, passes);
+                    prop_assert_eq!(&got, &want, "passes={}", passes);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouping_handles_empty_and_single_bucket_inputs() {
+        let params = LshParams::new(4, 1);
+        let none = CorpusBuilder::new().build();
+        assert!(entries_from_keys(&none, &params, &[], 3).is_empty());
+        // Three records with the same key in every band: one bucket
+        // holding all twelve entries is a partition larger than any pass.
+        let c = CorpusBuilder::new().extend_texts(["a", "b", "c"]).build();
+        let keys = vec![7u64; 12];
+        for passes in [1usize, 2, 3, 7] {
+            let got = entries_from_keys(&c, &params, &keys, passes);
+            assert_eq!(got, vec![(7, 0), (7, 1), (7, 2)], "passes={passes}");
+        }
     }
 
     #[test]

@@ -616,10 +616,23 @@ pub struct StrTape {
 impl StrTape {
     /// An empty tape.
     pub fn new() -> Self {
+        Self::with_capacity(0, 0, 0)
+    }
+
+    /// An empty tape with room for `records` rows holding `bytes` UTF-8
+    /// bytes and `chars` characters in all.
+    fn with_capacity(records: usize, bytes: usize, chars: usize) -> Self {
+        let mut byte_offsets = Vec::with_capacity(records + 1);
+        byte_offsets.push(0);
+        let mut char_offsets = Vec::with_capacity(records + 1);
+        char_offsets.push(0);
         Self {
-            byte_offsets: vec![0],
-            char_offsets: vec![0],
-            ..Self::default()
+            bytes: Vec::with_capacity(bytes),
+            byte_offsets,
+            chars: Vec::with_capacity(chars),
+            char_offsets,
+            units: Vec::with_capacity(chars),
+            bmp: Vec::with_capacity(records),
         }
     }
 
@@ -636,18 +649,44 @@ impl StrTape {
     /// joined by single spaces — exactly the reconstruction the metric
     /// oracles and the feature extractor score.
     pub fn from_corpus(corpus: &Corpus) -> Self {
-        let mut tape = Self::new();
+        Self::from_corpus_rows(corpus, |_| true)
+    }
+
+    /// [`StrTape::from_corpus`] with a text row only for the records
+    /// `named` accepts. Every other record gets an empty row, so record
+    /// ids still index the tape. The arenas are sized exactly before
+    /// the rows are written.
+    pub(crate) fn from_corpus_rows(corpus: &Corpus, named: impl Fn(usize) -> bool) -> Self {
+        let _span = er_obs::span("simeng.tape");
+        let vocab = corpus.vocab();
+        let (mut rows, mut bytes, mut chars) = (0usize, 0usize, 0usize);
+        for r in (0..corpus.len()).filter(|&r| named(r)) {
+            let tokens = corpus.tokens(r);
+            let gaps = tokens.len().saturating_sub(1);
+            rows += 1;
+            bytes += gaps;
+            chars += gaps;
+            for &t in tokens {
+                let term = vocab.term(t);
+                bytes += term.len();
+                chars += term.chars().count();
+            }
+        }
+        let mut tape = Self::with_capacity(corpus.len(), bytes, chars);
         let mut buf = String::new();
         for r in 0..corpus.len() {
             buf.clear();
-            for (i, &t) in corpus.tokens(r).iter().enumerate() {
-                if i > 0 {
-                    buf.push(' ');
+            if named(r) {
+                for (i, &t) in corpus.tokens(r).iter().enumerate() {
+                    if i > 0 {
+                        buf.push(' ');
+                    }
+                    buf.push_str(vocab.term(t));
                 }
-                buf.push_str(corpus.vocab().term(t));
             }
             tape.push(&buf);
         }
+        er_obs::counter_add("simeng.tape.records", rows as u64);
         tape
     }
 
@@ -789,9 +828,17 @@ impl<'c> BatchScorer<'c> {
     /// allocation phase — scoring itself is allocation-free at steady
     /// state).
     pub fn new(corpus: &'c Corpus) -> Self {
+        Self::for_records(corpus, |_| true)
+    }
+
+    /// A scorer whose tape holds text only for the records `named`
+    /// accepts ([`StrTape::from_corpus_rows`]): it scores pairs of those
+    /// records exactly as [`BatchScorer::new`] does. Monge-Elkan reads
+    /// the corpus's tokens, not the tape.
+    pub(crate) fn for_records(corpus: &'c Corpus, named: impl Fn(usize) -> bool) -> Self {
         Self {
             corpus,
-            tape: StrTape::from_corpus(corpus),
+            tape: StrTape::from_corpus_rows(corpus, named),
             scratch: ScratchSlot::new(),
         }
     }

@@ -1,13 +1,31 @@
 //! Property tests for the blocking strategies.
 
+use er_pool::{DispatchPolicy, WorkerPool};
 use er_text::blocking::{
-    blocking_key, blocking_key_into, reduction_ratio, sorted_neighborhood, token_blocking,
+    blocking_key, blocking_key_into, reduction_ratio, seed_similarities, sorted_neighborhood,
+    token_blocking, BlockingStrategy, SEED_KERNEL,
 };
-use er_text::CorpusBuilder;
+use er_text::{BatchScorer, CorpusBuilder};
 use proptest::prelude::*;
 
 fn texts() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-d]( [a-d]){0,4}", 2..20)
+}
+
+/// Record texts mixing shared words (records in candidate pairs), a word
+/// of the record's own (a record in no pair) and no token at all.
+fn seeded_texts() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec((0u32..5, "[a-c]( [a-eé]){0,4}"), 0..24).prop_map(|drawn| {
+        drawn
+            .into_iter()
+            .enumerate()
+            .map(|(r, (kind, text))| match kind {
+                0 => String::new(),
+                1 => format!("solo{r}"),
+                _ => text,
+            })
+            .collect()
+    })
 }
 
 proptest! {
@@ -106,5 +124,25 @@ proptest! {
         let c = c.min(universe);
         let rr = reduction_ratio(n, c);
         prop_assert!((0.0..=1.0).contains(&rr));
+    }
+
+    /// Seeding builds text only for the records its pairs name, and
+    /// scores every pair exactly as a scorer over every record does.
+    #[test]
+    fn seed_similarities_equal_full_tape_scores(texts in seeded_texts()) {
+        let corpus = CorpusBuilder::new().extend_texts(texts).build();
+        let serial = WorkerPool::with_policy(1, DispatchPolicy::always_serial());
+        let full = BatchScorer::new(&corpus);
+        for strategy in [BlockingStrategy::TokenGraph, BlockingStrategy::meta_default()] {
+            let graph = strategy.candidate_graph(&corpus, &serial, None, None);
+            let pairs: Vec<(u32, u32)> = graph.pairs().iter().map(|p| (p.a, p.b)).collect();
+            let want = full.score(SEED_KERNEL, &pairs, &serial);
+            for threads in [1usize, 2] {
+                let pool = WorkerPool::with_policy(threads, DispatchPolicy::always_parallel());
+                let got = seed_similarities(&corpus, &graph, &pool);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&got), bits(&want), "{} at {} threads", strategy.name(), threads);
+            }
+        }
     }
 }
