@@ -200,7 +200,6 @@ fn cliquerank_and_alloc_runs(graph: &er_graph::BipartiteGraph, name: &str, file:
     // gauge pins the *solver* contract, not the registry's).
     let comps = gr.components();
     let Some(members) = comps
-        .members
         .iter()
         .filter(|m| m.len() >= 2)
         .max_by_key(|m| m.len())

@@ -52,11 +52,13 @@
 //! write-out serve both kernels ([`crate::sparse_kernel`]), which differ
 //! only in how a step forms `Mt × M`: a column gather at `Σ_i deg(i)²`
 //! multiply-adds, or a packed GEMM at `nc³`. `component_cost` picks one
-//! per component, and both stop early once a step changes nothing.
+//! per component, and both stop early once a step changes nothing. A
+//! masked two-record component needs neither: its walk saturates, and
+//! `p = 1.0` is exactly what the solve would compute.
 
 use std::cmp::Reverse;
 
-use er_graph::{bipartite::PairNode, RecordGraph};
+use er_graph::{bipartite::PairNode, ComponentLabels, RecordGraph};
 use er_matrix::{MatrixArena, PackScratch};
 use er_pool::{ScratchSlot, WorkerPool};
 
@@ -90,9 +92,12 @@ pub struct CliqueScratch {
 /// Runs CliqueRank on the caller's worker pool; returns the matching
 /// probability per edge, aligned with [`RecordGraph::pairs`].
 ///
-/// Every call solves every component with fresh scratch, through one
-/// cost-ordered scheduler whatever the pool: below the pool's dispatch
-/// cutover every component is solved inline; above it, components too
+/// A two-record component under the neighbor mask is decided in closed
+/// form: its edge gets `p = 1.0`, exactly what the solve would compute,
+/// with no solve (DESIGN.md §3.3). Every other component of two or more
+/// records is solved with fresh scratch, through one cost-ordered
+/// scheduler whatever the pool: below the pool's dispatch cutover every
+/// component is solved inline; above it, components too
 /// big for a fair per-worker share run largest-first on the caller
 /// thread with the pool parallelizing *inside* the recurrence (pooled
 /// GEMM row strips / sparse CSR row ranges), and the rest fan out as
@@ -107,17 +112,18 @@ pub fn run_cliquerank(
         panic!("{e}"); // er-lint: allow(panic) -- an invalid config is a caller bug; `validate` checks it up front
     }
     let comps = graph.components();
-    let solvable: Vec<&[u32]> = comps
-        .members
-        .iter()
-        .map(Vec::as_slice)
-        .filter(|m| m.len() >= 2)
-        .collect();
     let mut out = vec![0.0f64; graph.pairs().len()];
-    er_obs::counter_add("cliquerank_components_total", solvable.len() as u64);
+    let mut general = Vec::new();
+    let pair_components = split_components(graph, &comps, config, &mut general, &mut out);
+    er_obs::counter_add(
+        "cliquerank_components_total",
+        (general.len() + pair_components) as u64,
+    );
+    er_obs::counter_add("cliquerank_pair_components_total", pair_components as u64);
+    let largest = comps.largest();
     er_obs::gauge_set(
         "cliquerank_largest_component",
-        solvable.iter().map(|m| m.len()).max().unwrap_or(0) as f64,
+        if largest >= 2 { largest as f64 } else { 0.0 },
     );
     // The `(1 + b)^α` factors depend on the config alone: one set serves
     // every component of the run.
@@ -126,7 +132,8 @@ pub fn run_cliquerank(
     let mut scratch = CliqueScratch::default();
     solve_components(
         graph,
-        &solvable,
+        &comps,
+        &general,
         config,
         &bonus,
         pool,
@@ -134,6 +141,60 @@ pub fn run_cliquerank(
         &mut scratch,
     );
     out
+}
+
+/// Whether a component is decided in closed form: two records under the
+/// neighbor mask, joined by an edge whose doubled weight is finite.
+///
+/// Such a component's walk saturates at `p = 1` whatever its weight
+/// (§VI-B), and the general solve computes exactly `1.0`. Each record's
+/// row scale is `2w`, so its one weight is `a = (w / 2w)^α = 0.5^α`,
+/// positive for `α < 1024`, and `rest = a − a = 0`. Every bonus sample
+/// then gives `H = (β·a) / (β·a) = 1.0` in both directions, and `Mt` is
+/// `a / a = 1.0`. The first product pairs each edge only with the
+/// diagonal, which the mask zeroes, so it is all zero under either
+/// kernel: Eq. 15 stops with the sum at `H`, first passage at the fixed
+/// point `H + C · 0 = H`. The write-out gives `0.5 · (1 + 1) = 1.0`,
+/// clamped or not. With the mask off, or `2w` past `f64::MAX`, the
+/// general solve runs.
+fn in_closed_form(graph: &RecordGraph, members: &[u32], config: &CliqueRankConfig) -> bool {
+    config.neighbor_mask
+        && members.len() == 2
+        && (2.0 * graph.neighbors(members[0]).1[0]).is_finite()
+}
+
+/// The per-component pass of [`run_cliquerank`]: writes `p = 1.0` for
+/// the edge of every component decided in closed form
+/// ([`in_closed_form`]) and lists every other component of two or more
+/// records in `general`, in id order. Returns the number decided in
+/// closed form. A two-record component has exactly one edge, so the
+/// closed form reads each edge's component straight from the labels
+/// instead of searching the pair list. Every other component holds at
+/// least one of the remaining edges, so `general` is reserved once to
+/// that count and the component loop never grows it.
+// er-lint: zero-alloc
+fn split_components(
+    graph: &RecordGraph,
+    comps: &ComponentLabels,
+    config: &CliqueRankConfig,
+    general: &mut Vec<u32>,
+    out: &mut [f64],
+) -> usize {
+    let mut closed = 0;
+    for (slot, pair) in out.iter_mut().zip(graph.pairs()) {
+        let c = comps.label[pair.a as usize] as usize;
+        if in_closed_form(graph, comps.members(c), config) {
+            *slot = 1.0;
+            closed += 1;
+        }
+    }
+    general.reserve(graph.pairs().len() - closed);
+    for (c, members) in comps.iter().enumerate() {
+        if members.len() >= 2 && !in_closed_form(graph, members, config) {
+            general.push(c as u32);
+        }
+    }
+    closed
 }
 
 /// Kernel choice and estimated solve cost of one component.
@@ -182,29 +243,31 @@ fn component_cost(
     }
 }
 
-/// The component scheduler: solves every component of `comps` into
-/// `out` with the run's bonus factors `bonus`, with `scratch` serving
-/// the caller thread's solves.
+/// The component scheduler: solves the components of `comps` listed in
+/// `ids` into `out` with the run's bonus factors `bonus`, with `scratch`
+/// serving the caller thread's solves.
+#[allow(clippy::too_many_arguments)]
 fn solve_components(
     graph: &RecordGraph,
-    comps: &[&[u32]],
+    comps: &ComponentLabels,
+    ids: &[u32],
     config: &CliqueRankConfig,
     bonus: &[f64],
     pool: &WorkerPool,
     out: &mut [f64],
     scratch: &mut CliqueScratch,
 ) {
-    let costs: Vec<ComponentCost> = comps
-        .iter()
-        .map(|m| component_cost(graph, m, config))
+    let members = |i: usize| comps.members(ids[i] as usize);
+    let costs: Vec<ComponentCost> = (0..ids.len())
+        .map(|i| component_cost(graph, members(i), config))
         .collect();
     let total_cost = costs.iter().fold(0usize, |s, c| s.saturating_add(c.work));
     let mut local_of = vec![u32::MAX; graph.node_count()];
     if !pool.dispatch(total_cost).is_parallel() {
-        for (members, &cost) in comps.iter().zip(&costs) {
+        for (i, &cost) in costs.iter().enumerate() {
             solve_mapped(
                 graph,
-                members,
+                members(i),
                 cost,
                 &mut local_of,
                 config,
@@ -222,7 +285,7 @@ fn solve_components(
     // "big" when it exceeds a fair per-worker share of the phase — with
     // component-level chunking it would straddle the phase's critical
     // path — and is itself past the dispatch cutover.
-    let mut order: Vec<usize> = (0..comps.len()).collect();
+    let mut order: Vec<usize> = (0..ids.len()).collect();
     order.sort_by_key(|&i| Reverse(costs[i].work));
     let serial_below = pool.policy().serial_below;
     let is_big = |i: usize| {
@@ -237,7 +300,7 @@ fn solve_components(
         let _span = er_obs::span("component_large");
         solve_mapped(
             graph,
-            comps[i],
+            members(i),
             costs[i],
             &mut local_of,
             config,
@@ -266,17 +329,16 @@ fn solve_components(
     let scratch_slot: ScratchSlot<CliqueScratch> = ScratchSlot::new();
     pool.scope(|s| {
         for (chunk, result) in chunks.iter().zip(results.iter_mut()) {
-            let (costs, scratch_slot) = (&costs, &scratch_slot);
+            let (costs, scratch_slot, members) = (&costs, &scratch_slot, &members);
             s.submit(move || {
                 let mut scratch = scratch_slot.checkout();
                 let mut local_out = vec![0.0f64; graph.pairs().len()];
                 let mut local_of = vec![u32::MAX; graph.node_count()];
                 let mut edges = Vec::new();
                 for &i in chunk {
-                    let members = comps[i];
                     solve_mapped(
                         graph,
-                        members,
+                        members(i),
                         costs[i],
                         &mut local_of,
                         config,
@@ -285,7 +347,7 @@ fn solve_components(
                         &mut local_out,
                         &mut scratch,
                     );
-                    edges.extend(component_edges(graph, members));
+                    component_edges_into(graph, members(i), &mut edges);
                 }
                 *result = edges.into_iter().map(|idx| (idx, local_out[idx])).collect();
             });
@@ -304,10 +366,9 @@ pub(crate) fn pair_index(graph: &RecordGraph, a: u32, b: u32) -> usize {
         .expect("edge must correspond to a retained pair") // er-lint: allow(panic) -- every graph edge comes from the retained pair universe
 }
 
-/// Positions in [`RecordGraph::pairs`] of one component's edges, in
-/// ascending order.
-fn component_edges(graph: &RecordGraph, members: &[u32]) -> Vec<usize> {
-    let mut edges = Vec::new();
+/// Appends the positions in [`RecordGraph::pairs`] of one component's
+/// edges to `edges`, in ascending order.
+fn component_edges_into(graph: &RecordGraph, members: &[u32], edges: &mut Vec<usize>) {
     for &g in members {
         for &nb in graph.neighbors(g).0 {
             if nb > g {
@@ -315,7 +376,6 @@ fn component_edges(graph: &RecordGraph, members: &[u32]) -> Vec<usize> {
             }
         }
     }
-    edges
 }
 
 /// [`solve_component`] with `members` mapped to their local ids in
@@ -450,6 +510,8 @@ pub(crate) fn bonus_samples_into(config: &CliqueRankConfig, out: &mut Vec<f64>) 
 mod tests {
     use super::*;
     use crate::config::{CliqueRankConfig, Recurrence};
+    use er_pool::DispatchPolicy;
+    use proptest::prelude::*;
 
     fn pairs(ps: &[(u32, u32)]) -> Vec<PairNode> {
         ps.iter().map(|&(a, b)| PairNode::new(a, b)).collect()
@@ -782,6 +844,188 @@ mod tests {
         let p = run(&g, &one);
         for &v in &p {
             assert!(v > 0.0 && v <= 1.0);
+        }
+    }
+
+    /// One component shape of [`mixed_graph`].
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        Pair,
+        Path(u32),
+        Star(u32),
+        Triangle,
+    }
+
+    impl Shape {
+        fn from_code(code: u8, size: u32) -> Self {
+            match code {
+                0 => Shape::Pair,
+                1 => Shape::Path(3 + size),
+                2 => Shape::Star(3 + size),
+                _ => Shape::Triangle,
+            }
+        }
+
+        fn nodes(self) -> u32 {
+            match self {
+                Shape::Pair => 2,
+                Shape::Path(n) => n,
+                Shape::Star(leaves) => leaves + 1,
+                Shape::Triangle => 3,
+            }
+        }
+
+        /// Edges over local ids `0..nodes()`.
+        fn edges(self) -> Vec<(u32, u32)> {
+            match self {
+                Shape::Pair => vec![(0, 1)],
+                Shape::Path(n) => (0..n - 1).map(|i| (i, i + 1)).collect(),
+                Shape::Star(leaves) => (1..=leaves).map(|i| (0, i)).collect(),
+                Shape::Triangle => vec![(0, 1), (0, 2), (1, 2)],
+            }
+        }
+    }
+
+    /// One weight draw: mostly spread over ten orders of magnitude, some
+    /// subnormal, some exactly `f64::MAX / 2` (the largest whose double
+    /// is finite) and, on two-record components only, some past it.
+    fn weight(code: u8, x: f64, pair: bool) -> f64 {
+        match code {
+            0 | 1 => f64::MIN_POSITIVE * x.max(1e-15),
+            2 => f64::MAX / 2.0,
+            3 if pair => f64::MAX * (0.51 + 0.49 * x),
+            _ => 10f64.powf(-10.0 * x),
+        }
+    }
+
+    /// A record graph mixing two-record components, paths, stars and
+    /// triangles, plus isolated records, with the node ids shuffled so
+    /// the components interleave.
+    fn mixed_graph() -> impl Strategy<Value = RecordGraph> {
+        let shapes = proptest::collection::vec((0u8..4, 0u32..3), 1..9);
+        shapes
+            .prop_flat_map(|shapes| {
+                let shapes: Vec<Shape> = shapes
+                    .into_iter()
+                    .map(|(code, size)| Shape::from_code(code, size))
+                    .collect();
+                let n = shapes.iter().map(|s| s.nodes()).sum::<u32>() + 2;
+                let keys = proptest::collection::vec(0u64..u64::MAX, n as usize);
+                let draws = proptest::collection::vec((0u8..24, 0.0f64..1.0), 40);
+                (Just(shapes), keys, draws)
+            })
+            .prop_map(|(shapes, keys, draws)| {
+                let mut perm: Vec<u32> = (0..keys.len() as u32).collect();
+                perm.sort_by_key(|&i| keys[i as usize]);
+                let (mut base, mut k) = (0u32, 0usize);
+                let mut scored = Vec::new();
+                for shape in shapes {
+                    let pair = matches!(shape, Shape::Pair);
+                    for (a, b) in shape.edges() {
+                        let (code, x) = draws[k % draws.len()];
+                        k += 1;
+                        let p = PairNode::new(perm[(base + a) as usize], perm[(base + b) as usize]);
+                        scored.push((p, weight(code, x, pair)));
+                    }
+                    base += shape.nodes();
+                }
+                scored.sort_by_key(|&(p, _)| p);
+                let (ps, ws): (Vec<PairNode>, Vec<f64>) = scored.into_iter().unzip();
+                RecordGraph::from_pair_scores(keys.len(), &ps, &ws)
+            })
+    }
+
+    /// Every component of two or more records solved on its own by the
+    /// general solve, [`solve_component_into`].
+    fn solve_each_component(g: &RecordGraph, cfg: &CliqueRankConfig) -> Vec<f64> {
+        let mut out = vec![0.0; g.pairs().len()];
+        let mut local_of = vec![u32::MAX; g.node_count()];
+        let mut scratch = CliqueScratch::default();
+        let comps = g.components();
+        for members in comps.iter().filter(|m| m.len() >= 2) {
+            for (li, &r) in members.iter().enumerate() {
+                local_of[r as usize] = li as u32;
+            }
+            solve_component_into(g, members, &local_of, cfg, &mut out, &mut scratch);
+            for &r in members {
+                local_of[r as usize] = u32::MAX;
+            }
+        }
+        out
+    }
+
+    /// The output bits of `f`, or `None` when it panics.
+    fn outcome(f: impl FnOnce() -> Vec<f64>) -> Option<Vec<u64>> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .ok()
+            .map(|v| v.iter().map(|p| p.to_bits()).collect())
+    }
+
+    /// Both recurrences × boost Off, Fixed and Expected × clamp on and
+    /// off × the three kernels × the neighbor mask on and off, at `steps`.
+    fn all_configs(steps: usize) -> Vec<CliqueRankConfig> {
+        let mut configs = Vec::new();
+        for recurrence in [Recurrence::PaperEq15, Recurrence::FirstPassage] {
+            for boost in [BoostMode::Off, BoostMode::Fixed(0.5), BoostMode::default()] {
+                for clamp in [true, false] {
+                    for kernel in [Kernel::Auto, Kernel::Dense, Kernel::Sparse] {
+                        for neighbor_mask in [true, false] {
+                            configs.push(CliqueRankConfig {
+                                steps,
+                                recurrence,
+                                boost,
+                                clamp,
+                                kernel,
+                                neighbor_mask,
+                                ..cfg()
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        configs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// `run_cliquerank`, which decides masked two-record components
+        /// in closed form, equals the general solve of every component
+        /// bit for bit, serial and pooled. A weight past `f64::MAX / 2`
+        /// overflows its row scale `2w` and leaves that row of `Mt` NaN,
+        /// which the debug build's row-stochastic check rejects: there
+        /// both sides must fail alike.
+        #[test]
+        fn run_cliquerank_equals_the_general_solve_bit_for_bit(
+            g in mixed_graph(),
+            steps in 1usize..=20,
+        ) {
+            let serial = WorkerPool::with_policy(1, DispatchPolicy::always_serial());
+            let pooled = WorkerPool::with_policy(3, DispatchPolicy::always_parallel());
+            let doubles_finite = g.pairs().iter().all(|p| {
+                g.similarity(p.a, p.b).is_some_and(|w| (2.0 * w).is_finite())
+            });
+            for cfg in all_configs(steps) {
+                let want = outcome(|| solve_each_component(&g, &cfg));
+                let got = outcome(|| run_cliquerank(&g, &cfg, &serial));
+                prop_assert_eq!(&got, &want, "{:?}", cfg);
+                if doubles_finite {
+                    prop_assert!(want.is_some());
+                    let got = outcome(|| run_cliquerank(&g, &cfg, &pooled));
+                    prop_assert_eq!(&got, &want, "pooled {:?}", cfg);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_two_record_components_read_one_exactly() {
+        let ps = pairs(&[(0, 1), (2, 3), (4, 5), (6, 7)]);
+        let ws = [f64::MIN_POSITIVE / 8.0, 1e-300, 0.37, f64::MAX / 2.0];
+        let g = RecordGraph::from_pair_scores(8, &ps, &ws);
+        for cfg in all_configs(20).into_iter().filter(|c| c.neighbor_mask) {
+            assert_eq!(run(&g, &cfg), vec![1.0; 4], "{cfg:?}");
         }
     }
 }

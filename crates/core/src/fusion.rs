@@ -15,7 +15,7 @@
 use std::mem;
 use std::time::{Duration, Instant};
 
-use er_graph::{BipartiteGraph, RecordGraph, UnionFind};
+use er_graph::{BipartiteGraph, PairNode, RecordGraph, UnionFind};
 use er_pool::WorkerPool;
 
 use crate::cliquerank::run_cliquerank;
@@ -205,13 +205,7 @@ impl Resolver {
 
             // Map probabilities back onto the bipartite pair indexing;
             // pairs whose similarity dropped to 0 keep probability 0.
-            new_prob.iter_mut().for_each(|v| *v = 0.0);
-            for (pair, &p) in gr.pairs().iter().zip(&edge_probs) {
-                let idx = graph
-                    .pair_id(pair.a, pair.b)
-                    .expect("record-graph edge must be a bipartite pair"); // er-lint: allow(panic) -- Gr edges are built from bipartite pairs
-                new_prob[idx as usize] = p;
-            }
+            scatter_edge_probabilities(graph.pairs(), gr.pairs(), &edge_probs, &mut new_prob);
             let probability_delta = prob.iter().zip(&new_prob).map(|(a, b)| (a - b).abs()).sum();
             mem::swap(&mut prob, &mut new_prob);
 
@@ -243,6 +237,33 @@ impl Resolver {
             round_probabilities,
         }
     }
+}
+
+/// Writes each record-graph edge's probability `probs[e]` at the position
+/// of its pair `edges[e]` in `pairs`, and 0 at every other position of
+/// `out`. `edges` is an ascending subsequence of the ascending `pairs`
+/// (`Gr` keeps the bipartite pairs of positive similarity, in order), so
+/// one merge walk finds every position.
+fn scatter_edge_probabilities(
+    pairs: &[PairNode],
+    edges: &[PairNode],
+    probs: &[f64],
+    out: &mut [f64],
+) {
+    let mut next = edges.iter().zip(probs).peekable();
+    for (pair, slot) in pairs.iter().zip(out.iter_mut()) {
+        *slot = match next.peek() {
+            Some(&(edge, &p)) if edge == pair => {
+                next.next();
+                p
+            }
+            _ => 0.0,
+        };
+    }
+    assert!(
+        next.next().is_none(),
+        "record-graph edge must be a bipartite pair"
+    );
 }
 
 /// Thresholds probabilities at `eta` and clusters matches transitively.

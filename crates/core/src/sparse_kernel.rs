@@ -682,7 +682,8 @@ mod tests {
         for (g, want) in sample_graphs().iter().zip(&fresh) {
             let mut out = vec![0.0; g.pairs().len()];
             let mut local_of = vec![u32::MAX; g.node_count()];
-            for members in g.components().members.iter().filter(|m| m.len() >= 2) {
+            let comps = g.components();
+            for members in comps.iter().filter(|m| m.len() >= 2) {
                 for (li, &r) in members.iter().enumerate() {
                     local_of[r as usize] = li as u32;
                 }
@@ -819,7 +820,8 @@ mod tests {
         let mut out = vec![0.0; g.pairs().len()];
         let mut local_of = vec![u32::MAX; g.node_count()];
         let mut results = Vec::new();
-        for members in g.components().members.iter().filter(|m| m.len() >= 2) {
+        let comps = g.components();
+        for members in comps.iter().filter(|m| m.len() >= 2) {
             for (li, &r) in members.iter().enumerate() {
                 local_of[r as usize] = li as u32;
             }

@@ -79,11 +79,14 @@ impl Dataset {
     }
 
     /// Ground-truth matching pairs **within the candidate universe**:
-    /// same entity and admissible under the policy.
+    /// same entity and admissible under the policy. Entities come in
+    /// order of their smallest record id, and each entity's pairs in
+    /// ascending `(a, b)` order.
     pub fn matching_pairs(&self) -> Vec<(u32, u32)> {
-        let clusters = self.entity_clusters();
+        let (ids, starts) = self.entity_groups();
         let mut pairs = Vec::new();
-        for members in clusters {
+        for w in starts.windows(2) {
+            let members = &ids[w[0]..w[1]];
             for (i, &a) in members.iter().enumerate() {
                 for &b in &members[i + 1..] {
                     if self.is_candidate(a, b) {
@@ -98,17 +101,53 @@ impl Dataset {
     /// Records grouped by ground-truth entity (every record appears once;
     /// singleton entities included), ordered by smallest member.
     pub fn entity_clusters(&self) -> Vec<Vec<u32>> {
-        use std::collections::HashMap;
-        let mut by_entity: HashMap<u32, Vec<u32>> = HashMap::new();
-        for r in &self.records {
-            by_entity.entry(r.entity).or_default().push(r.id);
+        let (ids, starts) = self.entity_groups();
+        starts
+            .windows(2)
+            .map(|w| ids[w[0]..w[1]].to_vec())
+            .collect()
+    }
+
+    /// Record ids grouped by entity as one flat table: group `g` is
+    /// `ids[starts[g]..starts[g + 1]]`, ascending, and the groups come in
+    /// order of their smallest id. One sort of the `(entity, id)` keys
+    /// makes each entity a run of ascending ids; walking the ids in order
+    /// then emits each run when its first (smallest) id comes up.
+    fn entity_groups(&self) -> (Vec<u32>, Vec<usize>) {
+        let mut keys: Vec<u64> = self
+            .records
+            .iter()
+            .map(|r| u64::from(r.entity) << 32 | u64::from(r.id))
+            .collect();
+        keys.sort_unstable();
+        // `run_at[id]` is the position of `id`'s entity run in `keys`
+        // when `id` is its smallest member, else `u32::MAX`.
+        let n = keys.len();
+        let mut run_at = vec![u32::MAX; n];
+        let (mut start, mut groups) = (0, 0);
+        while start < n {
+            let entity = keys[start] >> 32;
+            run_at[(keys[start] as u32) as usize] = start as u32;
+            start += 1;
+            while start < n && keys[start] >> 32 == entity {
+                start += 1;
+            }
+            groups += 1;
         }
-        let mut clusters: Vec<Vec<u32>> = by_entity.into_values().collect();
-        for c in &mut clusters {
-            c.sort_unstable();
+        let mut ids = Vec::with_capacity(n);
+        let mut starts = Vec::with_capacity(groups + 1);
+        starts.push(0);
+        for &at in run_at.iter().filter(|&&at| at != u32::MAX) {
+            let run = &keys[at as usize..];
+            let entity = run[0] >> 32;
+            ids.extend(
+                run.iter()
+                    .take_while(|&&k| k >> 32 == entity)
+                    .map(|&k| k as u32),
+            );
+            starts.push(ids.len());
         }
-        clusters.sort_by_key(|c| c[0]);
-        clusters
+        (ids, starts)
     }
 
     /// Number of candidate pairs in the whole dataset (the `n(n−1)/2` or
@@ -138,6 +177,62 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The grouping `entity_clusters` replaced, kept as its oracle: a
+    /// `HashMap` from entity to members, then every cluster sorted and
+    /// the clusters ordered by smallest member.
+    fn entity_clusters_by_map(d: &Dataset) -> Vec<Vec<u32>> {
+        use std::collections::HashMap;
+        let mut by_entity: HashMap<u32, Vec<u32>> = HashMap::new();
+        for r in &d.records {
+            by_entity.entry(r.entity).or_default().push(r.id);
+        }
+        let mut clusters: Vec<Vec<u32>> = by_entity.into_values().collect(); // er-lint: allow(unordered_iteration) -- members and clusters are both sorted below
+        for c in &mut clusters {
+            c.sort_unstable();
+        }
+        clusters.sort_by_key(|c| c[0]);
+        clusters
+    }
+
+    /// `matching_pairs` over the oracle's clusters.
+    fn matching_pairs_by_map(d: &Dataset) -> Vec<(u32, u32)> {
+        let mut pairs = Vec::new();
+        for members in entity_clusters_by_map(d) {
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
+                    if d.is_candidate(a, b) {
+                        pairs.push((a, b));
+                    }
+                }
+            }
+        }
+        pairs
+    }
+
+    proptest! {
+        #[test]
+        fn grouping_equals_the_map_oracle(
+            draws in proptest::collection::vec((0u32..12, 0u8..2), 0..60),
+            cross in 0u8..2,
+        ) {
+            // Entity ids spread over the whole u32 range.
+            let records = draws
+                .iter()
+                .enumerate()
+                .map(|(i, &(e, s))| rec(i as u32, s, e.wrapping_mul(0x9e37_79b9), "x"))
+                .collect();
+            let policy = if cross == 1 {
+                SourcePolicy::CrossSourceOnly
+            } else {
+                SourcePolicy::WithinSingleSource
+            };
+            let d = Dataset::new("p", records, policy);
+            prop_assert_eq!(d.entity_clusters(), entity_clusters_by_map(&d));
+            prop_assert_eq!(d.matching_pairs(), matching_pairs_by_map(&d));
+        }
+    }
 
     fn rec(id: u32, source: u8, entity: u32, text: &str) -> Record {
         Record {

@@ -19,8 +19,16 @@ impl CsrGraph {
     ///
     /// Edges must be distinct as unordered pairs (duplicates are debug-
     /// asserted against); self-loops are rejected. Weights must be finite.
+    ///
+    /// Rows are filled in edge-list order and sorted in place; a row that
+    /// is already ascending is left as it is. An edge list sorted by
+    /// `(u, v)` with `u < v` (every pair list of the pipeline) fills
+    /// every row ascending — the lower neighbors in order, then the upper
+    /// ones — so the build then makes four allocations whatever `n`: the
+    /// degree counts, the offsets and the two entry arrays.
     pub fn from_undirected_edges(n: usize, edges: &[(u32, u32, f64)]) -> Self {
-        let mut degree = vec![0usize; n];
+        // `cursor[u]` counts node `u`'s degree, then walks its row.
+        let mut cursor = vec![0usize; n];
         for &(u, v, w) in edges {
             assert!(u != v, "self-loop on node {u}");
             assert!(
@@ -28,20 +36,20 @@ impl CsrGraph {
                 "edge ({u},{v}) out of range"
             );
             assert!(w.is_finite(), "non-finite weight on edge ({u},{v})");
-            degree[u as usize] += 1;
-            degree[v as usize] += 1;
+            cursor[u as usize] += 1;
+            cursor[v as usize] += 1;
         }
         let mut offsets = Vec::with_capacity(n + 1);
         let mut total = 0usize;
         offsets.push(0usize);
-        for d in &degree {
-            total += d;
+        for c in &mut cursor {
+            let start = total;
+            total += *c;
             offsets.push(total);
+            *c = start;
         }
-        let m2 = offsets[n];
-        let mut targets = vec![0u32; m2];
-        let mut weights = vec![0f64; m2];
-        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; total];
+        let mut weights = vec![0f64; total];
         for &(u, v, w) in edges {
             targets[cursor[u as usize]] = v;
             weights[cursor[u as usize]] = w;
@@ -51,26 +59,32 @@ impl CsrGraph {
             cursor[v as usize] += 1;
         }
         // Sort each row by target for binary-search membership tests.
-        let mut graph = Self {
+        // Targets are distinct within a row, so the order, and with it
+        // every weight's slot, does not depend on the sort.
+        let mut row_buf: Vec<(u32, f64)> = Vec::new();
+        for u in 0..n {
+            let (start, end) = (offsets[u], offsets[u + 1]);
+            let row = &mut targets[start..end];
+            if row.windows(2).all(|w| w[0] < w[1]) {
+                continue;
+            }
+            row_buf.clear();
+            row_buf.extend(row.iter().copied().zip(weights[start..end].iter().copied()));
+            row_buf.sort_unstable_by_key(|&(t, _)| t);
+            for ((t, w), &(st, sw)) in row.iter_mut().zip(&mut weights[start..end]).zip(&row_buf) {
+                *t = st;
+                *w = sw;
+            }
+            debug_assert!(
+                row.windows(2).all(|w| w[0] < w[1]),
+                "duplicate edge incident to node {u}"
+            );
+        }
+        let graph = Self {
             offsets,
             targets,
             weights,
         };
-        for u in 0..n {
-            let (start, end) = (graph.offsets[u], graph.offsets[u + 1]);
-            let row: &mut [u32] = &mut graph.targets[start..end];
-            // Sort targets and weights together.
-            let mut idx: Vec<usize> = (0..row.len()).collect();
-            idx.sort_unstable_by_key(|&i| row[i]);
-            let sorted_t: Vec<u32> = idx.iter().map(|&i| row[i]).collect();
-            let sorted_w: Vec<f64> = idx.iter().map(|&i| graph.weights[start + i]).collect();
-            graph.targets[start..end].copy_from_slice(&sorted_t);
-            graph.weights[start..end].copy_from_slice(&sorted_w);
-            debug_assert!(
-                graph.targets[start..end].windows(2).all(|w| w[0] < w[1]),
-                "duplicate edge incident to node {u}"
-            );
-        }
         debug_validate("CsrGraph::from_undirected_edges", || graph.validate());
         graph
     }

@@ -30,20 +30,23 @@ impl RecordGraph {
             "pairs and scores must be parallel"
         );
         let _span = er_obs::span("record_graph_build");
-        let mut kept: Vec<(PairNode, f64)> = pairs
+        let mut edges: Vec<(u32, u32, f64)> = pairs
             .iter()
             .zip(scores)
             .filter(|(_, &s)| s > 0.0)
-            .map(|(&p, &s)| (p, s))
+            .map(|(p, &s)| (p.a, p.b, s))
             .collect();
         // Sort so `pairs()` is binary-searchable regardless of input
         // order. In the pipeline the input comes from the bipartite
-        // graph's sorted pair list, so this check skips the sort.
-        if !kept.windows(2).all(|w| w[0].0 < w[1].0) {
-            kept.sort_unstable_by_key(|&(p, _)| p);
+        // graph's sorted pair list, so this check skips the sort, and
+        // the sorted list gives the CSR build ascending rows.
+        if !edges
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
+        {
+            edges.sort_unstable_by_key(|&(a, b, _)| (a, b));
         }
-        let kept_pairs: Vec<PairNode> = kept.iter().map(|&(p, _)| p).collect();
-        let edges: Vec<(u32, u32, f64)> = kept.iter().map(|&(p, s)| (p.a, p.b, s)).collect();
+        let kept_pairs: Vec<PairNode> = edges.iter().map(|&(a, b, _)| PairNode { a, b }).collect();
         let graph = Self {
             csr: CsrGraph::from_undirected_edges(n_records, &edges),
             pairs: kept_pairs,

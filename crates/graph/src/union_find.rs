@@ -83,12 +83,42 @@ impl UnionFind {
 
     /// Consumes the forest and returns all sets as sorted member lists,
     /// ordered by smallest member.
+    ///
+    /// One walk over the elements in ascending order numbers each set by
+    /// the first time its root is seen (its smallest member, so the sets
+    /// come out in the promised order) and appends every element to its
+    /// set, which keeps each set sorted. Every set is allocated once at
+    /// its exact size.
     pub fn into_sets(mut self) -> Vec<Vec<u32>> {
+        const UNSEEN: u32 = u32::MAX;
         let n = self.len();
+        let mut set_of_root = vec![UNSEEN; n];
+        let mut sets: Vec<Vec<u32>> = Vec::with_capacity(self.n_sets);
+        for x in 0..n as u32 {
+            let root = self.find(x) as usize;
+            if set_of_root[root] == UNSEEN {
+                set_of_root[root] = sets.len() as u32;
+                sets.push(Vec::with_capacity(self.size[root] as usize));
+            }
+            sets[set_of_root[root] as usize].push(x);
+        }
+        sets
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The grouping `into_sets` replaced, kept as its oracle: a `HashMap`
+    /// from root to members, then every set sorted and the sets ordered
+    /// by smallest member.
+    fn into_sets_by_map(mut uf: UnionFind) -> Vec<Vec<u32>> {
         let mut by_root: std::collections::HashMap<u32, Vec<u32>> =
             std::collections::HashMap::new();
-        for x in 0..n as u32 {
-            by_root.entry(self.find(x)).or_default().push(x);
+        for x in 0..uf.len() as u32 {
+            by_root.entry(uf.find(x)).or_default().push(x);
         }
         let mut sets: Vec<Vec<u32>> = by_root.into_values().collect(); // er-lint: allow(unordered_iteration) -- members and sets are both sorted below
         for s in &mut sets {
@@ -97,11 +127,25 @@ impl UnionFind {
         sets.sort_by_key(|s| s[0]);
         sets
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    proptest! {
+        #[test]
+        fn into_sets_equals_the_map_oracle(
+            n in 0usize..60,
+            ops in proptest::collection::vec((0u32..60, 0u32..60), 0..80),
+        ) {
+            let mut uf = UnionFind::new(n);
+            for (a, b) in ops {
+                if n > 0 {
+                    uf.union(a % n as u32, b % n as u32);
+                }
+            }
+            let want = into_sets_by_map(uf.clone());
+            let sets = uf.into_sets();
+            prop_assert_eq!(sets.len(), want.len());
+            prop_assert_eq!(sets, want);
+        }
+    }
 
     #[test]
     fn singletons_then_unions() {

@@ -34,7 +34,43 @@ fn edges(n: u32, max_edges: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32,
     })
 }
 
+/// An edge list in sorted order and the same edges in a random order,
+/// each given in a random orientation.
+#[allow(clippy::type_complexity)]
+fn sorted_and_shuffled() -> impl Strategy<Value = (u32, Vec<(u32, u32, f64)>, Vec<(u32, u32, f64)>)>
+{
+    edges(40, 160)
+        .prop_flat_map(|(n, es)| {
+            let k = es.len();
+            let keys = proptest::collection::vec((0u64..u64::MAX, 0u8..2), k);
+            (Just(n), Just(es), keys)
+        })
+        .prop_map(|(n, sorted, keys)| {
+            let mut order: Vec<usize> = (0..sorted.len()).collect();
+            order.sort_by_key(|&i| keys[i].0);
+            let shuffled = order
+                .into_iter()
+                .map(|i| {
+                    let (a, b, w) = sorted[i];
+                    if keys[i].1 == 1 {
+                        (b, a, w)
+                    } else {
+                        (a, b, w)
+                    }
+                })
+                .collect();
+            (n, sorted, shuffled)
+        })
+}
+
 proptest! {
+    #[test]
+    fn csr_from_shuffled_edges_equals_sorted((n, sorted, shuffled) in sorted_and_shuffled()) {
+        let want = CsrGraph::from_undirected_edges(n as usize, &sorted);
+        let got = CsrGraph::from_undirected_edges(n as usize, &shuffled);
+        prop_assert_eq!(got, want);
+    }
+
     #[test]
     fn csr_degree_sum_is_twice_edges((n, es) in edges(24, 60)) {
         let g = CsrGraph::from_undirected_edges(n as usize, &es);
@@ -70,9 +106,9 @@ proptest! {
     fn components_partition_nodes((n, es) in edges(24, 60)) {
         let g = CsrGraph::from_undirected_edges(n as usize, &es);
         let comps = components(&g);
-        let total: usize = comps.members.iter().map(Vec::len).sum();
+        let total: usize = comps.iter().map(<[u32]>::len).sum();
         prop_assert_eq!(total, n as usize);
-        let distinct: HashSet<u32> = comps.members.iter().flatten().copied().collect();
+        let distinct: HashSet<u32> = comps.iter().flatten().copied().collect();
         prop_assert_eq!(distinct.len(), n as usize);
         // Every edge stays within one component.
         for (u, v, _) in g.edges() {

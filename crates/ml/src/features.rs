@@ -51,9 +51,9 @@ pub struct FeatureExtractor<'a> {
     corpus: &'a Corpus,
     tfidf: TfIdfModel,
     /// Every record text (post-filter tokens joined by spaces) on one
-    /// tape: `&str` views for the oracle metrics, char slices for the
-    /// DP/Jaro kernels, BMP code units for the vectorized
-    /// Smith-Waterman.
+    /// tape: char slices for the DP/Jaro kernels, with the BMP flag that
+    /// admits the vectorized Smith-Waterman, and owned texts rebuilt for
+    /// the oracle metrics.
     tape: StrTape,
     token_strs: Vec<Vec<String>>,
     /// Per record: sorted `(packed bigram, count)` runs of the padded
@@ -110,6 +110,7 @@ impl<'a> FeatureExtractor<'a> {
         let sb = self.corpus.term_set(b);
         let ta: Vec<&str> = self.token_strs[a].iter().map(String::as_str).collect();
         let tb: Vec<&str> = self.token_strs[b].iter().map(String::as_str).collect();
+        let (text_a, text_b) = (self.tape.text(a), self.tape.text(b));
         let len_a = ta.len().max(1) as f64;
         let len_b = tb.len().max(1) as f64;
         vec![
@@ -118,11 +119,11 @@ impl<'a> FeatureExtractor<'a> {
             overlap_coefficient(sa, sb),
             cosine_tokens(sa, sb),
             self.tfidf.cosine(a, b),
-            levenshtein_similarity(self.tape.text(a), self.tape.text(b)),
-            jaro_winkler(self.tape.text(a), self.tape.text(b)),
-            ngram_similarity(self.tape.text(a), self.tape.text(b), 2),
+            levenshtein_similarity(&text_a, &text_b),
+            jaro_winkler(&text_a, &text_b),
+            ngram_similarity(&text_a, &text_b, 2),
             monge_elkan(&ta, &tb, jaro_winkler),
-            smith_waterman_similarity(self.tape.text(a), self.tape.text(b)),
+            smith_waterman_similarity(&text_a, &text_b),
             // Fraction of tokens in the shorter record with a Soundex
             // twin in the other — phonetic agreement.
             phonetic_overlap(&ta, &tb),
@@ -186,7 +187,7 @@ impl<'a> FeatureExtractor<'a> {
             jaro_winkler_prepared(ca, cb, scratch),
             self.ngram_prepared(a, b),
             monge_elkan_memoized(self.corpus, a, b, scratch),
-            smith_waterman_prepared(ca, cb, self.tape.units(a), self.tape.units(b), scratch),
+            smith_waterman_prepared(ca, cb, self.tape.bmp(a) && self.tape.bmp(b), scratch),
             self.phonetic_prepared(toks_a, toks_b),
             len_a.min(len_b) / len_a.max(len_b),
         ]

@@ -5,10 +5,10 @@
 //! vectors, re-allocated DP rows, and chased a fresh pointer per
 //! record. This module replaces that shape with two pieces:
 //!
-//! * [`StrTape`] — an arena holding every record text contiguously
-//!   (UTF-8 bytes, decoded `char`s, and BMP `u16` code units, each with
-//!   one offset table). Built once per dataset; per-pair access is two
-//!   offset loads and a slice.
+//! * [`StrTape`] — an arena holding every record text contiguously as
+//!   decoded `char`s, with one offset table and a per-record BMP flag.
+//!   Built once per dataset; per-pair access is two offset loads and a
+//!   slice.
 //! * [`BatchScorer`] — scores a slice of `(a, b)` record-index pairs
 //!   against the tape in one call. DP scratch is amortized across the
 //!   batch through [`er_pool::ScratchSlot`] (one [`SimScratch`] per
@@ -136,11 +136,13 @@ pub struct SimScratch {
     lev_vn: Vec<u64>,
     /// Jaro matched-position bitmask over `b`.
     taken: Vec<u64>,
-    /// Smith-Waterman antidiagonal buffers (current, −1, −2) and the
-    /// reversed second string.
+    /// Smith-Waterman antidiagonal buffers (current, −1, −2), the pair's
+    /// code units and the reversed second string.
     sw_d0: Vec<i16>,
     sw_d1: Vec<i16>,
     sw_d2: Vec<i16>,
+    sw_a: Vec<u16>,
+    sw_b: Vec<u16>,
     sw_rev: Vec<u16>,
     sw_row: Vec<i32>,
     a_matches: Vec<char>,
@@ -506,19 +508,13 @@ pub fn sw_antidiag(a: &[u16], b: &[u16], scratch: &mut SimScratch) -> i32 {
 /// mismatch −1.0, gap −0.5) on a doubled-integer DP. Every cell of the
 /// reference float DP is an exact multiple of 0.5, so doubling the
 /// increments (+2/−2/−1, floor 0) gives `cell × 2` exactly, and halving
-/// the best score reproduces the float result bit for bit. BMP texts
-/// long enough to fill a vector ([`SW_LANES`]) take the antidiagonal
-/// kernel; the rolling-row char DP covers the rest (identical integers
-/// either way). Callers pass the BMP code units when the text has them
-/// (`None` forces the scalar path).
+/// the best score reproduces the float result bit for bit. When `bmp`
+/// says both texts are BMP-only ([`StrTape::bmp`]) and the pair is long
+/// enough to fill a vector ([`SW_LANES`]), the pair is converted into the
+/// scratch's `u16` buffers for the antidiagonal kernel; the rolling-row
+/// char DP covers the rest (identical integers either way).
 // er-lint: zero-alloc
-pub fn smith_waterman_prepared(
-    a: &[char],
-    b: &[char],
-    a_units: Option<&[u16]>,
-    b_units: Option<&[u16]>,
-    scratch: &mut SimScratch,
-) -> f64 {
+pub fn smith_waterman_prepared(a: &[char], b: &[char], bmp: bool, scratch: &mut SimScratch) -> f64 {
     let min_len = a.len().min(b.len());
     if min_len == 0 {
         return if a.is_empty() && b.is_empty() {
@@ -529,11 +525,22 @@ pub fn smith_waterman_prepared(
     }
     // The doubled i16 cells are bounded by 2·min_len; stay far from
     // saturation before trusting the i16 kernel.
-    let best = match (a_units, b_units) {
-        (Some(wa), Some(wb)) if (SW_LANES..=8000).contains(&min_len) => {
-            sw_antidiag(wa, wb, scratch)
-        }
-        _ => sw_scalar(a, b, scratch),
+    let best = if bmp && (SW_LANES..=8000).contains(&min_len) {
+        // Each BMP char is one code unit; the buffers leave the scratch
+        // while the kernel borrows it, keeping their capacity.
+        let (mut wa, mut wb) = (
+            std::mem::take(&mut scratch.sw_a),
+            std::mem::take(&mut scratch.sw_b),
+        );
+        wa.clear();
+        wa.extend(a.iter().map(|&c| c as u16));
+        wb.clear();
+        wb.extend(b.iter().map(|&c| c as u16));
+        let best = sw_antidiag(&wa, &wb, scratch);
+        (scratch.sw_a, scratch.sw_b) = (wa, wb);
+        best
+    } else {
+        sw_scalar(a, b, scratch)
     };
     let score = f64::from(best) / 2.0;
     (score / min_len as f64).clamp(0.0, 1.0)
@@ -596,42 +603,38 @@ pub fn monge_elkan_memoized(corpus: &Corpus, a: usize, b: usize, scratch: &mut S
 }
 
 /// Contiguous string arena over one dataset: every record text lives in
-/// three parallel tapes — UTF-8 bytes (for `&str` views), decoded
-/// `char`s (the DP/Jaro input), and `u16` code units (the vectorized
-/// Smith-Waterman input, valid when the record is BMP-only) — each
-/// addressed by one offset table. Built once; per-pair access is two
-/// offset loads and a slice, with zero per-pair allocation.
-#[derive(Debug, Default)]
+/// one tape of decoded `char`s (the DP/Jaro input), addressed by one
+/// offset table, with a per-record flag telling whether every character
+/// fits in the BMP (the vectorized Smith-Waterman's precondition). Built
+/// once; per-pair access is two offset loads and a slice, with zero
+/// per-pair allocation.
+#[derive(Debug)]
 pub struct StrTape {
-    bytes: Vec<u8>,
-    byte_offsets: Vec<u32>,
     chars: Vec<char>,
     char_offsets: Vec<u32>,
-    /// Parallel to `chars`; meaningful only where `bmp` is set (a
-    /// non-BMP char stores 0 and poisons its record's `bmp` flag).
-    units: Vec<u16>,
     bmp: Vec<bool>,
+}
+
+impl Default for StrTape {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl StrTape {
     /// An empty tape.
     pub fn new() -> Self {
-        Self::with_capacity(0, 0, 0)
+        Self::with_capacity(0, 0)
     }
 
-    /// An empty tape with room for `records` rows holding `bytes` UTF-8
-    /// bytes and `chars` characters in all.
-    fn with_capacity(records: usize, bytes: usize, chars: usize) -> Self {
-        let mut byte_offsets = Vec::with_capacity(records + 1);
-        byte_offsets.push(0);
+    /// An empty tape with room for `records` rows holding `chars`
+    /// characters in all.
+    fn with_capacity(records: usize, chars: usize) -> Self {
         let mut char_offsets = Vec::with_capacity(records + 1);
         char_offsets.push(0);
         Self {
-            bytes: Vec::with_capacity(bytes),
-            byte_offsets,
             chars: Vec::with_capacity(chars),
             char_offsets,
-            units: Vec::with_capacity(chars),
             bmp: Vec::with_capacity(records),
         }
     }
@@ -654,37 +657,31 @@ impl StrTape {
 
     /// [`StrTape::from_corpus`] with a text row only for the records
     /// `named` accepts. Every other record gets an empty row, so record
-    /// ids still index the tape. The arenas are sized exactly before
-    /// the rows are written.
+    /// ids still index the tape. The tape is sized exactly before the
+    /// rows are written.
     pub(crate) fn from_corpus_rows(corpus: &Corpus, named: impl Fn(usize) -> bool) -> Self {
         let _span = er_obs::span("simeng.tape");
         let vocab = corpus.vocab();
-        let (mut rows, mut bytes, mut chars) = (0usize, 0usize, 0usize);
+        let (mut rows, mut chars) = (0usize, 0usize);
         for r in (0..corpus.len()).filter(|&r| named(r)) {
             let tokens = corpus.tokens(r);
-            let gaps = tokens.len().saturating_sub(1);
             rows += 1;
-            bytes += gaps;
-            chars += gaps;
+            chars += tokens.len().saturating_sub(1);
             for &t in tokens {
-                let term = vocab.term(t);
-                bytes += term.len();
-                chars += term.chars().count();
+                chars += vocab.term(t).chars().count();
             }
         }
-        let mut tape = Self::with_capacity(corpus.len(), bytes, chars);
-        let mut buf = String::new();
+        let mut tape = Self::with_capacity(corpus.len(), chars);
         for r in 0..corpus.len() {
-            buf.clear();
             if named(r) {
                 for (i, &t) in corpus.tokens(r).iter().enumerate() {
                     if i > 0 {
-                        buf.push(' ');
+                        tape.chars.push(' ');
                     }
-                    buf.push_str(vocab.term(t));
+                    tape.chars.extend(vocab.term(t).chars());
                 }
             }
-            tape.push(&buf);
+            tape.end_row();
         }
         er_obs::counter_add("simeng.tape.records", rows as u64);
         tape
@@ -692,25 +689,19 @@ impl StrTape {
 
     /// Appends one record text to the tape.
     pub fn push(&mut self, text: &str) {
-        self.bytes.extend_from_slice(text.as_bytes());
-        let mut bmp = true;
-        for c in text.chars() {
-            self.chars.push(c);
-            match u16::try_from(c as u32) {
-                Ok(u) => self.units.push(u),
-                Err(_) => {
-                    self.units.push(0);
-                    bmp = false;
-                }
-            }
-        }
+        self.chars.extend(text.chars());
+        self.end_row();
+    }
+
+    /// Closes the row whose characters were appended since the last
+    /// row ended: records its end offset and its BMP flag.
+    fn end_row(&mut self) {
+        let start = self.char_offsets[self.bmp.len()] as usize;
+        let bmp = self.chars[start..].iter().all(|&c| c <= '\u{ffff}');
         self.bmp.push(bmp);
-        // er-lint: allow(panic) -- 4 GiB tape capacity is a documented limit; overflow is unrecoverable corpus misuse
-        let byte_end = u32::try_from(self.bytes.len()).expect("string tape exceeds u32 offsets");
-        // er-lint: allow(panic) -- same u32-offset capacity invariant as the byte tape above
-        let char_end = u32::try_from(self.chars.len()).expect("string tape exceeds u32 offsets");
-        self.byte_offsets.push(byte_end);
-        self.char_offsets.push(char_end);
+        // er-lint: allow(panic) -- 4 Gi-character tape capacity is a documented limit; overflow is unrecoverable corpus misuse
+        let end = u32::try_from(self.chars.len()).expect("string tape exceeds u32 offsets");
+        self.char_offsets.push(end);
     }
 
     /// Number of records on the tape.
@@ -723,16 +714,10 @@ impl StrTape {
         self.bmp.is_empty()
     }
 
-    /// Record `r`'s text as a `&str` view into the byte tape.
-    pub fn text(&self, r: usize) -> &str {
-        let lo = self.byte_offsets[r] as usize;
-        let hi = self.byte_offsets[r + 1] as usize;
-        // Slices always fall on the push boundaries of whole `&str`s,
-        // so validation cannot fail; it is re-run (O(len)) because the
-        // crate denies `unsafe`. Oracle paths only — the kernels read
-        // the char/unit tapes.
-        // er-lint: allow(panic) -- offsets are `&str` push boundaries, so the slice is valid UTF-8 by construction
-        std::str::from_utf8(&self.bytes[lo..hi]).expect("tape stores whole UTF-8 strings")
+    /// Record `r`'s text, rebuilt from its characters. Reference paths
+    /// only: the kernels read [`StrTape::chars`].
+    pub fn text(&self, r: usize) -> String {
+        self.chars(r).iter().collect()
     }
 
     /// Record `r`'s decoded characters.
@@ -740,10 +725,10 @@ impl StrTape {
         &self.chars[self.char_offsets[r] as usize..self.char_offsets[r + 1] as usize]
     }
 
-    /// Record `r`'s UTF-16 code units, when every char fits in the BMP.
-    pub fn units(&self, r: usize) -> Option<&[u16]> {
+    /// True when every character of record `r` fits in the BMP, so
+    /// each is one UTF-16 code unit.
+    pub fn bmp(&self, r: usize) -> bool {
         self.bmp[r]
-            .then(|| &self.units[self.char_offsets[r] as usize..self.char_offsets[r + 1] as usize])
     }
 
     /// Character count of record `r`.
@@ -944,8 +929,7 @@ impl<'c> BatchScorer<'c> {
             SimKernel::SmithWaterman => smith_waterman_prepared(
                 self.tape.chars(a),
                 self.tape.chars(b),
-                self.tape.units(a),
-                self.tape.units(b),
+                self.tape.bmp(a) && self.tape.bmp(b),
                 scratch,
             ),
             SimKernel::MongeElkan => monge_elkan_memoized(self.corpus, a, b, scratch),
@@ -959,10 +943,12 @@ impl<'c> BatchScorer<'c> {
     pub fn score_pair_reference(&self, kernel: SimKernel, a: u32, b: u32) -> f64 {
         let (a, b) = (a as usize, b as usize);
         match kernel {
-            SimKernel::Levenshtein => levenshtein_similarity(self.tape.text(a), self.tape.text(b)),
-            SimKernel::JaroWinkler => jaro_winkler(self.tape.text(a), self.tape.text(b)),
+            SimKernel::Levenshtein => {
+                levenshtein_similarity(&self.tape.text(a), &self.tape.text(b))
+            }
+            SimKernel::JaroWinkler => jaro_winkler(&self.tape.text(a), &self.tape.text(b)),
             SimKernel::SmithWaterman => {
-                smith_waterman_similarity(self.tape.text(a), self.tape.text(b))
+                smith_waterman_similarity(&self.tape.text(a), &self.tape.text(b))
             }
             SimKernel::MongeElkan => {
                 let vocab = self.corpus.vocab();
@@ -1020,10 +1006,12 @@ mod tests {
             assert_eq!(tape.char_len(r), chars.len());
         }
         // "日本" is BMP; a supplementary-plane char is not.
-        assert!(tape.units(2).is_some());
-        let supp = StrTape::from_texts(&["a😀b"]);
-        assert!(supp.units(0).is_none());
+        assert!((0..texts.len()).all(|r| tape.bmp(r)));
+        let supp = StrTape::from_texts(&["a😀b", "ab"]);
+        assert!(!supp.bmp(0));
+        assert!(supp.bmp(1));
         assert_eq!(supp.chars(0).len(), 3);
+        assert_eq!(supp.text(0), "a😀b");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Steady-state allocation contracts of the hot per-element loops.
 //!
-//! Four subsystems promise zero heap allocations once warm:
+//! Four subsystems promise zero heap allocations once warm, and two
+//! builds promise a number of allocations that does not grow with their
+//! input:
 //!
 //! * **CliqueRank recurrence** — after a warm-up solve has grown the
 //!   scratch arena, the pack buffers, and the edge-set CSR scratch to
@@ -25,7 +27,17 @@
 //!   with spare capacity allocates nothing: no `String` or `Vec` per
 //!   record.
 //!
-//! A counting global allocator pins all four contracts; any regression (a
+//! * **CliqueRank per-component pass** — `run_cliquerank` costs a fixed
+//!   number of allocations whatever the number of components: the
+//!   component table is flat, a two-record component is decided in
+//!   closed form with no solve, and nothing is allocated per component.
+//!   It allocates as often on 1,000 two-record components as on 10,000
+//!   (each graph plus one triangle, which takes the general solve).
+//! * **CSR build** — `CsrGraph::from_undirected_edges` on a sorted edge
+//!   list makes a fixed number of allocations whatever its size: every
+//!   row is filled ascending and none is sorted.
+//!
+//! A counting global allocator pins all six contracts; any regression (a
 //! stray `clone`, a `Vec` built inside the step loop, a mask row dropped
 //! and rebuilt per pair) turns into a test failure rather than a silent
 //! slowdown.
@@ -50,10 +62,10 @@ use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use er_core::{
-    run_iter_into, solve_component_into, BoostMode, CliqueRankConfig, CliqueScratch, IterConfig,
-    IterScratch, Kernel,
+    run_cliquerank, run_iter_into, solve_component_into, BoostMode, CliqueRankConfig,
+    CliqueScratch, IterConfig, IterScratch, Kernel,
 };
-use er_graph::{bipartite::PairNode, BipartiteGraph, BipartiteGraphBuilder, RecordGraph};
+use er_graph::{bipartite::PairNode, BipartiteGraph, BipartiteGraphBuilder, CsrGraph, RecordGraph};
 use er_pool::{DispatchPolicy, WorkerPool};
 use er_text::{BatchScorer, CorpusBuilder, SimKernel, TermId, Vocabulary};
 
@@ -146,7 +158,6 @@ fn config(kernel: Kernel) -> CliqueRankConfig {
 fn assert_steady_state_alloc_free(graph: &RecordGraph, cfg: &CliqueRankConfig, label: &str) {
     let comps = graph.components();
     let members = comps
-        .members
         .iter()
         .find(|m| m.len() >= 2)
         .expect("graph has one non-trivial component");
@@ -319,6 +330,73 @@ fn assert_interning_steady_state() {
     assert_eq!(after, df.iter().map(|d| 4 * d).collect::<Vec<_>>());
 }
 
+/// `pairs` two-record components `{2k, 2k + 1}` with spread weights,
+/// then one triangle.
+fn pairs_and_triangle(pairs: u32) -> RecordGraph {
+    let mut ps: Vec<PairNode> = (0..pairs)
+        .map(|k| PairNode::new(2 * k, 2 * k + 1))
+        .collect();
+    let mut scores: Vec<f64> = (0..pairs)
+        .map(|k| 0.05 + f64::from(k % 19) / 20.0)
+        .collect();
+    let t = 2 * pairs;
+    ps.extend([
+        PairNode::new(t, t + 1),
+        PairNode::new(t, t + 2),
+        PairNode::new(t + 1, t + 2),
+    ]);
+    scores.extend([0.9, 0.4, 0.7]);
+    RecordGraph::from_pair_scores(t as usize + 3, &ps, &scores)
+}
+
+/// `run_cliquerank` allocates as often on 10,000 two-record components
+/// as on 1,000: the per-component pass allocates nothing, and the
+/// triangle's general solve is the same in both graphs.
+fn assert_cliquerank_allocations_flat_in_components() {
+    let pool = WorkerPool::with_policy(1, DispatchPolicy::always_serial());
+    let cfg = CliqueRankConfig::default();
+    let mut counts = Vec::new();
+    for pairs in [1_000, 10_000] {
+        let graph = pairs_and_triangle(pairs);
+        let mut out = Vec::new();
+        counts.push(count_allocs(|| out = run_cliquerank(&graph, &cfg, &pool)));
+        let (pair_edges, triangle) = out.split_at(pairs as usize);
+        assert!(pair_edges.iter().all(|&p| p == 1.0), "{pairs} pairs");
+        assert!(
+            triangle.iter().all(|&p| p > 0.0 && p <= 1.0),
+            "{triangle:?}"
+        );
+    }
+    assert_eq!(
+        counts[0], counts[1],
+        "run_cliquerank allocations grow with the component count"
+    );
+}
+
+/// `CsrGraph::from_undirected_edges` on a sorted edge list allocates the
+/// degree counts, the offsets and the two entry arrays, whatever its
+/// size: every row comes out ascending, so none takes the sort buffer.
+fn assert_sorted_csr_build_allocations_fixed() {
+    let mut counts = Vec::new();
+    for n in [1_000u32, 10_000] {
+        // A path plus chords: rows with lower and upper neighbors.
+        let mut edges = Vec::new();
+        for u in 0..n {
+            for d in [1, 3, 7] {
+                if u + d < n {
+                    edges.push((u, u + d, 0.5 + f64::from(d) / 10.0));
+                }
+            }
+        }
+        let mut graph = None;
+        counts.push(count_allocs(|| {
+            graph = Some(CsrGraph::from_undirected_edges(n as usize, &edges));
+        }));
+        assert_eq!(graph.map(|g| g.edge_count()), Some(edges.len()));
+    }
+    assert_eq!(counts, vec![4, 4], "sorted CSR build allocations");
+}
+
 #[test]
 fn cliquerank_recurrence_steady_state_allocates_nothing() {
     let unmasked = CliqueRankConfig {
@@ -341,4 +419,6 @@ fn cliquerank_recurrence_steady_state_allocates_nothing() {
     assert_batch_scorer_steady_state();
     assert_iter_steady_state();
     assert_interning_steady_state();
+    assert_cliquerank_allocations_flat_in_components();
+    assert_sorted_csr_build_allocations_fixed();
 }
