@@ -144,23 +144,21 @@ pub fn run_cliquerank(
 }
 
 /// Whether a component is decided in closed form: two records under the
-/// neighbor mask, joined by an edge whose doubled weight is finite.
+/// neighbor mask.
 ///
 /// Such a component's walk saturates at `p = 1` whatever its weight
 /// (§VI-B), and the general solve computes exactly `1.0`. Each record's
-/// row scale is `2w`, so its one weight is `a = (w / 2w)^α = 0.5^α`,
+/// one weight scales to `w / 2w = 0.5` (halved first past
+/// `f64::MAX / 2`, which gives the same `0.5`), so `a = 0.5^α`,
 /// positive for `α < 1024`, and `rest = a − a = 0`. Every bonus sample
 /// then gives `H = (β·a) / (β·a) = 1.0` in both directions, and `Mt` is
 /// `a / a = 1.0`. The first product pairs each edge only with the
 /// diagonal, which the mask zeroes, so it is all zero under either
 /// kernel: Eq. 15 stops with the sum at `H`, first passage at the fixed
 /// point `H + C · 0 = H`. The write-out gives `0.5 · (1 + 1) = 1.0`,
-/// clamped or not. With the mask off, or `2w` past `f64::MAX`, the
-/// general solve runs.
-fn in_closed_form(graph: &RecordGraph, members: &[u32], config: &CliqueRankConfig) -> bool {
-    config.neighbor_mask
-        && members.len() == 2
-        && (2.0 * graph.neighbors(members[0]).1[0]).is_finite()
+/// clamped or not. With the mask off the general solve runs.
+fn in_closed_form(members: &[u32], config: &CliqueRankConfig) -> bool {
+    config.neighbor_mask && members.len() == 2
 }
 
 /// The per-component pass of [`run_cliquerank`]: writes `p = 1.0` for
@@ -183,14 +181,14 @@ fn split_components(
     let mut closed = 0;
     for (slot, pair) in out.iter_mut().zip(graph.pairs()) {
         let c = comps.label[pair.a as usize] as usize;
-        if in_closed_form(graph, comps.members(c), config) {
+        if in_closed_form(comps.members(c), config) {
             *slot = 1.0;
             closed += 1;
         }
     }
     general.reserve(graph.pairs().len() - closed);
     for (c, members) in comps.iter().enumerate() {
-        if members.len() >= 2 && !in_closed_form(graph, members, config) {
+        if members.len() >= 2 && !in_closed_form(members, config) {
             general.push(c as u32);
         }
     }
@@ -828,7 +826,6 @@ mod tests {
             let dense = run(&g, &mk(Kernel::Dense));
             let sparse = run(&g, &mk(Kernel::Sparse));
             assert!(dense.iter().all(|p| p.is_finite()), "{dense:?}");
-            let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&dense), bits(&sparse), "{recurrence:?}");
         }
     }
@@ -888,12 +885,12 @@ mod tests {
 
     /// One weight draw: mostly spread over ten orders of magnitude, some
     /// subnormal, some exactly `f64::MAX / 2` (the largest whose double
-    /// is finite) and, on two-record components only, some past it.
-    fn weight(code: u8, x: f64, pair: bool) -> f64 {
+    /// is finite) and some past it, up to `f64::MAX`.
+    fn weight(code: u8, x: f64) -> f64 {
         match code {
             0 | 1 => f64::MIN_POSITIVE * x.max(1e-15),
             2 => f64::MAX / 2.0,
-            3 if pair => f64::MAX * (0.51 + 0.49 * x),
+            3 => f64::MAX * (0.51 + 0.49 * x),
             _ => 10f64.powf(-10.0 * x),
         }
     }
@@ -920,12 +917,11 @@ mod tests {
                 let (mut base, mut k) = (0u32, 0usize);
                 let mut scored = Vec::new();
                 for shape in shapes {
-                    let pair = matches!(shape, Shape::Pair);
                     for (a, b) in shape.edges() {
                         let (code, x) = draws[k % draws.len()];
                         k += 1;
                         let p = PairNode::new(perm[(base + a) as usize], perm[(base + b) as usize]);
-                        scored.push((p, weight(code, x, pair)));
+                        scored.push((p, weight(code, x)));
                     }
                     base += shape.nodes();
                 }
@@ -954,11 +950,8 @@ mod tests {
         out
     }
 
-    /// The output bits of `f`, or `None` when it panics.
-    fn outcome(f: impl FnOnce() -> Vec<f64>) -> Option<Vec<u64>> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .ok()
-            .map(|v| v.iter().map(|p| p.to_bits()).collect())
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|p| p.to_bits()).collect()
     }
 
     /// Both recurrences × boost Off, Fixed and Expected × clamp on and
@@ -992,10 +985,7 @@ mod tests {
 
         /// `run_cliquerank`, which decides masked two-record components
         /// in closed form, equals the general solve of every component
-        /// bit for bit, serial and pooled. A weight past `f64::MAX / 2`
-        /// overflows its row scale `2w` and leaves that row of `Mt` NaN,
-        /// which the debug build's row-stochastic check rejects: there
-        /// both sides must fail alike.
+        /// bit for bit, serial and pooled, for weights up to `f64::MAX`.
         #[test]
         fn run_cliquerank_equals_the_general_solve_bit_for_bit(
             g in mixed_graph(),
@@ -1003,29 +993,61 @@ mod tests {
         ) {
             let serial = WorkerPool::with_policy(1, DispatchPolicy::always_serial());
             let pooled = WorkerPool::with_policy(3, DispatchPolicy::always_parallel());
-            let doubles_finite = g.pairs().iter().all(|p| {
-                g.similarity(p.a, p.b).is_some_and(|w| (2.0 * w).is_finite())
-            });
             for cfg in all_configs(steps) {
-                let want = outcome(|| solve_each_component(&g, &cfg));
-                let got = outcome(|| run_cliquerank(&g, &cfg, &serial));
+                let want = bits(&solve_each_component(&g, &cfg));
+                let got = bits(&run_cliquerank(&g, &cfg, &serial));
                 prop_assert_eq!(&got, &want, "{:?}", cfg);
-                if doubles_finite {
-                    prop_assert!(want.is_some());
-                    let got = outcome(|| run_cliquerank(&g, &cfg, &pooled));
-                    prop_assert_eq!(&got, &want, "pooled {:?}", cfg);
-                }
+                let got = bits(&run_cliquerank(&g, &cfg, &pooled));
+                prop_assert_eq!(&got, &want, "pooled {:?}", cfg);
             }
         }
     }
 
     #[test]
     fn masked_two_record_components_read_one_exactly() {
-        let ps = pairs(&[(0, 1), (2, 3), (4, 5), (6, 7)]);
-        let ws = [f64::MIN_POSITIVE / 8.0, 1e-300, 0.37, f64::MAX / 2.0];
-        let g = RecordGraph::from_pair_scores(8, &ps, &ws);
+        let ps = pairs(&[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]);
+        let ws = [
+            f64::MIN_POSITIVE / 8.0,
+            1e-300,
+            0.37,
+            f64::MAX / 2.0,
+            0.75 * f64::MAX,
+            f64::MAX,
+        ];
+        let g = RecordGraph::from_pair_scores(12, &ps, &ws);
         for cfg in all_configs(20).into_iter().filter(|c| c.neighbor_mask) {
-            assert_eq!(run(&g, &cfg), vec![1.0; 4], "{cfg:?}");
+            assert_eq!(run(&g, &cfg), vec![1.0; 6], "{cfg:?}");
         }
+    }
+
+    #[test]
+    fn weights_past_half_max_read_as_scaled_down() {
+        // Every row's doubled maximum overflows. Halving before the
+        // division gives the quotients of the same triangle scaled down
+        // by 2^-4, whose doubled maxima are finite, so both read the
+        // same bits: finite, and in [0, 1] where clamped, under both
+        // kernels and RSS.
+        let ps = pairs(&[(0, 1), (0, 2), (1, 2)]);
+        let huge = [0.75 * f64::MAX, f64::MAX, 0.6 * f64::MAX];
+        let small = huge.map(|w| w / 16.0);
+        let g = RecordGraph::from_pair_scores(3, &ps, &huge);
+        let scaled = RecordGraph::from_pair_scores(3, &ps, &small);
+        for cfg in all_configs(20) {
+            let p = run(&g, &cfg);
+            assert_eq!(bits(&p), bits(&run(&scaled, &cfg)), "{cfg:?}");
+            // Unclamped, the Eq. 15 sum over steps may pass 1.
+            let range = if cfg.clamp { 0.0..=1.0 } else { 0.0..=f64::MAX };
+            assert!(p.iter().all(|v| range.contains(v)), "{cfg:?}: {p:?}");
+        }
+        let pool = WorkerPool::new(1);
+        let rss = crate::rss::run_rss(&g, &crate::config::RssConfig::default(), &pool);
+        let want = crate::rss::run_rss(&scaled, &crate::config::RssConfig::default(), &pool);
+        assert_eq!(bits(&rss.probabilities), bits(&want.probabilities));
+        assert!(rss.probabilities.iter().all(|v| (0.0..=1.0).contains(v)));
+        assert!(
+            rss.probabilities.iter().any(|&v| v > 0.0),
+            "{:?}",
+            rss.probabilities
+        );
     }
 }

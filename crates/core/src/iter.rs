@@ -23,32 +23,53 @@
 //! `P_t = 0` keeps the weight 0. After the first fusion round CliqueRank
 //! leaves `p = 0` on every pair outside the record graph (96% of the
 //! candidates on an Abt-Buy-like product set), so a sweep visits only
-//! what can move. Each run first fills a live view in its
-//! [`IterScratch`]: the `P_t > 0` terms in ascending order, the `p > 0`
-//! pairs, and, when most term–pair edges are dead, each live term's
-//! `p > 0` pairs in CSR order. A sweep then computes Eq. 7 for the live
-//! pairs, storing `p · s` (a dead pair's slot stays `+0.0`); Eq. 6 over
-//! the live terms' compacted rows, or over the graph's own rows when most
-//! edges are live, divided by the full `P_t`; and the L2 norm and the
-//! convergence delta over the `P_t > 0` terms in ascending term order.
-//! No bit moves: a dead pair adds `±0.0` to a non-negative running sum,
-//! and a `P_t = 0` term adds `+0.0` to the norm and to the delta. A sweep
-//! reads the live edges in its pair pass and at most twice as many in its
-//! term pass. The random initialization and the final Eq. 7 pass still
-//! cover every term and every pair, so [`IterOutcome::pair_similarities`]
-//! holds `s` for every pair.
+//! what can move. Each run first fills a compact live view in its
+//! [`IterScratch`]: the `P_t > 0` terms get dense local ids in ascending
+//! term order, with their weight and the sweep's Eq. 6 sum interleaved
+//! as `[x, acc]` per term; each `p > 0` pair's term row is rewritten in
+//! those local ids; and the live pairs' `p` fill the front of the `s`
+//! buffer, which the final Eq. 7 pass overwrites.
+//!
+//! A sweep is one pass over the live pairs in ascending id order. It
+//! zeroes every `acc`, then for each live pair sums `x` over the pair's
+//! row (Eq. 7) and adds `p · s` to each of those terms' `acc`, so the row
+//! is read twice while it is in cache. It then walks the live terms
+//! once: `acc / P_t` with the full `P_t`, the normalization (L2 takes a
+//! second walk for its norm), and the convergence delta in ascending
+//! term order, updating `x` in place.
+//!
+//! No bit moves against a sweep over every edge. Every term row lists
+//! its pair ids ascending ([`BipartiteGraph::validate`]), so each `acc`
+//! receives the same addends in the same order as a gather over the
+//! term's row, and a dead pair only ever added `+0.0` to that
+//! non-negative sum. A `P_t = 0` term adds `+0.0` to the norm and to the
+//! delta, which moves only the sign of a zero (`sum_over_terms`). The
+//! random initialization draws for the live terms in ascending order,
+//! the draws the `P_t > 0` terms take in a walk over every term, and the
+//! final Eq. 7 pass covers every pair, so
+//! [`IterOutcome::pair_similarities`] holds `s` for every pair.
+//!
+//! Two variants lost to this layout (2-vCPU host, one thread). Storing
+//! `p · s` in a pair pass and scattering it in a second pass reads every
+//! row twice from memory instead of once while it is in cache: ITER on
+//! the e2e paper workload rose from 0.057 to 0.083 s. Keeping the
+//! graph's term ids in the rows spreads the live weights over the whole
+//! term range, dead terms included, so more of the gather and scatter
+//! misses cache: census ITER read 0.078–0.100 s against the compact
+//! ids' 0.070 s.
 //!
 //! # Parallelism and determinism
 //!
-//! Both propagation rules are elementwise: each pair similarity depends
-//! only on the previous term weights, and each term weight only on the
-//! fresh similarities. The parallel path therefore splits the live pairs
-//! (or terms) into pool jobs that write disjoint `split_at_mut` ranges of
-//! the output vector, running the same row function the serial path
-//! runs, while the scalar reductions (L2 norm, convergence delta) stay
-//! serial, so every thread count produces bit-identical weights. The two
-//! iteration vectors (`x`, `new_x`) are allocated once and swapped per
-//! iteration instead of reallocating `new_x` every pass.
+//! A scatter into `acc` cannot be split across threads without ordering
+//! the adds, so a pooled run (past the live-edge dispatch cutover) keeps
+//! the two-pass gather over the same view: the pool splits the live
+//! pairs into jobs that write disjoint `split_at_mut` ranges of a `p · s`
+//! buffer, then the live terms into jobs that sum that buffer over the
+//! view's transpose into their `acc`. The transpose lists each term's
+//! live pairs ascending, the order the fused sweep adds them in, and is
+//! built only when the run is pooled. The term walk (division,
+//! normalization, delta) stays serial, so every thread count produces
+//! bit-identical weights.
 
 use std::mem;
 use std::ops::Range;
@@ -64,19 +85,23 @@ use crate::config::{IterConfig, Normalization};
 /// exceeds the loop body.
 const MIN_CHUNK: usize = 512;
 
+/// Most sweeps whose deltas a run reserves before its first sweep: far
+/// past any sweep cap in use, and a bound on what an unbounded
+/// `max_iterations` reserves.
+const RESERVED_SWEEPS: usize = 1 << 16;
+
 /// Reusable buffers for [`run_iter_into`].
 ///
-/// An ITER run needs four working vectors (`x`, `new_x`, `s`, `deltas`)
-/// and the live view of the graph its sweeps visit. Three of the vectors
-/// leave the run inside the [`IterOutcome`]; the scratch keeps the fourth
-/// and the live view, and [`IterScratch::recycle`] puts a consumed
-/// outcome's vectors back. A caller that recycles the previous round's
-/// outcome before the next run (as the fusion loop does) therefore runs
-/// every ITER sweep after the first with zero steady-state allocations.
+/// An ITER run needs three working vectors (`x`, `s`, `deltas`) and the
+/// live view of the graph its sweeps visit. The vectors leave the run
+/// inside the [`IterOutcome`]; the scratch keeps the live view, and
+/// [`IterScratch::recycle`] puts a consumed outcome's vectors back. A
+/// caller that recycles the previous round's outcome before the next run
+/// (as the fusion loop does) therefore runs every ITER sweep after the
+/// first with zero steady-state allocations.
 #[derive(Debug, Default)]
 pub struct IterScratch {
     x: Vec<f64>,
-    new_x: Vec<f64>,
     s: Vec<f64>,
     deltas: Vec<f64>,
     live: LiveView,
@@ -97,94 +122,122 @@ impl IterScratch {
     }
 }
 
-/// The part of the graph one run's sweeps read: the terms with
-/// `P_t > 0`, the pairs with `p > 0` and the term–pair edges between
-/// them (see the module doc). The buffers stay in the scratch for the
-/// next run, so each grows to exactly what it holds: doubling slack would
-/// stay allocated for the whole fusion.
+/// The part of the graph one run's sweeps read, renumbered densely: the
+/// terms with `P_t > 0`, the pairs with `p > 0` and the term–pair edges
+/// between them (see the module doc). The buffers stay in the scratch
+/// for the next run, so each grows to exactly what it holds: doubling
+/// slack would stay allocated for the whole fusion.
 #[derive(Debug, Default)]
 struct LiveView {
-    /// Terms with `P_t > 0`, ascending.
+    /// Terms with `P_t > 0`, ascending: term `terms[j]` has local id `j`.
     terms: Vec<u32>,
-    /// True when every pair has `p > 0`: `pairs` stays empty and the
-    /// `i`-th live pair is pair `i`.
-    all_pairs: bool,
-    /// Pairs with `p > 0`, ascending.
+    /// Local id of each term of the graph; read only for live terms.
+    local: Vec<u32>,
+    /// `[x, acc]` per live term: its weight, and the sweep's Eq. 6 sum.
+    xa: Vec<[f64; 2]>,
+    /// `rows[offsets[i]..offsets[i + 1]]` holds the local term ids of the
+    /// `i`-th live pair (in ascending pair id order), ascending.
+    offsets: Vec<u32>,
+    rows: Vec<u32>,
+    /// The pooled sweep's buffers, filled only when the run is pooled.
+    pooled: Transpose,
+}
+
+/// The transpose of the live rows and the pooled pair pass's output.
+#[derive(Debug, Default)]
+struct Transpose {
+    /// `pairs[offsets[j]..offsets[j + 1]]` holds the live pair indices of
+    /// local term `j`, ascending.
+    offsets: Vec<u32>,
     pairs: Vec<u32>,
-    /// `row_pairs[row_offsets[j]..row_offsets[j + 1]]` holds the `p > 0`
-    /// pairs of `terms[j]` in CSR order. Filled only when most edges are
-    /// dead, where it spares the term pass more than half its reads;
-    /// otherwise both stay empty and the term pass reads the graph's own
-    /// rows, in which a dead pair finds `+0.0` in the sweep's `p · s`, at
-    /// the cost of no more dead reads than live ones.
-    row_offsets: Vec<usize>,
-    row_pairs: Vec<u32>,
-    /// Term–pair edges of the live pairs.
-    edges: usize,
+    /// `p · s` per live pair.
+    ps: Vec<f64>,
 }
 
 impl LiveView {
-    /// Refills the view for `graph` under `edge_prob`.
-    fn fill(&mut self, graph: &BipartiteGraph, edge_prob: &[f64]) {
-        let live = |p: &u32| edge_prob[*p as usize] > 0.0;
+    /// Refills the view for `graph` under `edge_prob`, and `p` with the
+    /// live pairs' probabilities in pair id order.
+    fn fill(&mut self, graph: &BipartiteGraph, edge_prob: &[f64], p: &mut Vec<f64>) {
+        let n_terms = graph.term_count();
         refill(
             &mut self.terms,
-            (0..graph.term_count() as u32).filter(|&t| graph.pt(t) > 0),
+            (0..n_terms as u32).filter(|&t| graph.pt(t) > 0),
         );
-        let pair_ids = 0..graph.pair_count() as u32;
-        self.all_pairs = pair_ids.clone().all(|p| live(&p));
-        if self.all_pairs {
-            self.pairs.clear();
-            self.edges = graph.edge_count();
-        } else {
-            refill(&mut self.pairs, pair_ids.filter(live));
-            self.edges = self
-                .pairs
-                .iter()
-                .map(|&p| graph.terms_of_pair(p).len())
-                .sum();
+        resize_exact(&mut self.local, n_terms, 0);
+        for (j, &t) in self.terms.iter().enumerate() {
+            self.local[t as usize] = j as u32;
         }
-        self.row_offsets.clear();
-        self.row_pairs.clear();
-        if 2 * self.edges < graph.edge_count() {
-            self.row_offsets.reserve_exact(self.terms.len() + 1);
-            self.row_pairs.reserve_exact(self.edges);
-            self.row_offsets.push(0);
-            for &t in &self.terms {
-                self.row_pairs
-                    .extend(graph.pairs_of_term(t).iter().filter(|p| live(p)));
-                self.row_offsets.push(self.row_pairs.len());
+        let live = || {
+            edge_prob
+                .iter()
+                .enumerate()
+                .filter(|(_, &prob)| prob > 0.0)
+                .map(|(i, &prob)| (graph.terms_of_pair(i as u32), prob))
+        };
+        let (n_live, edges) = live().fold((0, 0), |(n, e), (row, _)| (n + 1, e + row.len()));
+        // Refuse a view `u32` offsets cannot index before allocating it.
+        edge_offset(edges);
+        p.clear();
+        p.reserve_exact(edge_prob.len());
+        self.offsets.clear();
+        self.offsets.reserve_exact(n_live + 1);
+        self.offsets.push(0);
+        self.rows.clear();
+        self.rows.reserve_exact(edges);
+        let local = &self.local;
+        for (row, prob) in live() {
+            p.push(prob);
+            self.rows.extend(row.iter().map(|&t| local[t as usize]));
+            self.offsets.push(edge_offset(self.rows.len()));
+        }
+    }
+
+    /// Fills [`Transpose`] by a counting sort of the rows: each term's
+    /// live pairs come out in ascending order, the order the fused sweep
+    /// adds them to its `acc`.
+    fn fill_transpose(&mut self) {
+        let n_terms = self.terms.len();
+        let n_pairs = self.offsets.len() - 1;
+        let t = &mut self.pooled;
+        resize_exact(&mut t.offsets, n_terms + 1, 0);
+        for &j in &self.rows {
+            t.offsets[j as usize + 1] += 1;
+        }
+        for j in 0..n_terms {
+            t.offsets[j + 1] += t.offsets[j];
+        }
+        // Placing a pair moves its term's offset one slot on, so each
+        // offset ends at its row's end, the next row's start; shifting by
+        // one slot restores the starts.
+        resize_exact(&mut t.pairs, self.rows.len(), 0);
+        for (i, w) in self.offsets.windows(2).enumerate() {
+            for &j in &self.rows[w[0] as usize..w[1] as usize] {
+                let slot = &mut t.offsets[j as usize];
+                t.pairs[*slot as usize] = i as u32;
+                *slot += 1;
             }
         }
+        t.offsets.copy_within(..n_terms, 1);
+        t.offsets[0] = 0;
+        resize_exact(&mut t.ps, n_pairs, 0.0);
     }
+}
 
-    /// Number of live pairs.
-    fn pair_count(&self, graph: &BipartiteGraph) -> usize {
-        if self.all_pairs {
-            graph.pair_count()
-        } else {
-            self.pairs.len()
-        }
-    }
+/// Sets `v`'s length to `n`, growing it to exactly `n` when it must grow;
+/// new slots get `value`.
+fn resize_exact<T: Copy>(v: &mut Vec<T>, n: usize, value: T) {
+    v.clear();
+    v.reserve_exact(n);
+    v.resize(n, value);
+}
 
-    /// The `i`-th live pair.
-    fn pair(&self, i: usize) -> u32 {
-        if self.all_pairs {
-            i as u32
-        } else {
-            self.pairs[i]
-        }
-    }
-
-    /// The pairs the term pass reads for `terms[j]`, in CSR order: its
-    /// live pairs, or its whole row when the rows were not compacted.
-    fn row<'a>(&'a self, graph: &'a BipartiteGraph, j: usize) -> &'a [u32] {
-        if self.row_offsets.is_empty() {
-            graph.pairs_of_term(self.terms[j])
-        } else {
-            &self.row_pairs[self.row_offsets[j]..self.row_offsets[j + 1]]
-        }
-    }
+/// `n` as a `u32` offset into the view's rows.
+///
+/// # Panics
+/// If the live view holds more than `u32::MAX` term–pair edges.
+fn edge_offset(n: usize) -> u32 {
+    // er-lint: allow(panic) -- refused by name before the view is allocated
+    u32::try_from(n).expect("ITER live view: more than u32::MAX live term–pair edges")
 }
 
 /// Refills `v` with `items`, growing it to exactly their count.
@@ -252,105 +305,77 @@ pub fn run_iter_into(
         assert!((0.0..=1.0).contains(&p), "p out of [0,1] for pair {i}: {p}");
     }
     let n_terms = graph.term_count();
-    let n_pairs = graph.pair_count();
-    scratch.live.fill(graph, edge_prob);
-    let live = &scratch.live;
-
-    // One dispatch decision per run: both sweep halves walk every live
-    // (term, pair) edge, so the live edge count estimates the per-sweep
-    // work. Below the cutover the pool is dropped here and the whole
-    // loop — sweeps and double-buffer swaps — runs inline with zero
-    // coordination (restaurant/cora-sized graphs lost more to scope
-    // bookkeeping per iteration than the chunks earned back).
-    let pool = Some(pool).filter(|p| p.dispatch(live.edges).is_parallel());
-
-    // Line 1: random initialization of x_t in (0, 1). Terms with P_t = 0
-    // never receive mass and stay 0. The working vectors come from the
-    // scratch so repeat runs reuse their capacity.
-    let mut rng = SmallRng::seed_from_u64(config.seed);
-    let mut x = mem::take(&mut scratch.x);
-    x.clear();
-    x.extend((0..n_terms).map(|t| {
-        if graph.pt(t as u32) == 0 {
-            0.0
-        } else {
-            rng.random_range(0.01..1.0)
-        }
-    }));
-
-    // Between the sweeps `s` holds `p · s` for the live pairs and keeps
-    // `+0.0` at the dead ones, which the term pass reads when it walks the
-    // graph's own rows; the final pass overwrites every slot with `s`.
+    // The live pairs' `p` fill the front of `s` until the final pass.
     let mut s = mem::take(&mut scratch.s);
-    s.clear();
-    s.resize(n_pairs, 0.0);
-    // Double buffer for the term weights: swapped with `x` each
-    // iteration instead of allocating a fresh vector per pass. The
-    // sweeps write only the live terms, so both buffers keep 0 at the
-    // `P_t = 0` terms.
-    let mut new_x = mem::take(&mut scratch.new_x);
-    new_x.clear();
-    new_x.resize(n_terms, 0.0);
+    let live = &mut scratch.live;
+    live.fill(graph, edge_prob, &mut s);
+
+    // One dispatch decision per run: every sweep walks each live
+    // (term, pair) edge twice, so the live edge count estimates the
+    // per-sweep work. Below the cutover the pool is dropped here and the
+    // whole loop runs inline with zero coordination (restaurant/cora-sized
+    // graphs lost more to scope bookkeeping per iteration than the chunks
+    // earned back).
+    let pool = Some(pool).filter(|p| p.dispatch(live.rows.len()).is_parallel());
+    if pool.is_some() {
+        live.fill_transpose();
+    }
+
+    // Line 1: random initialization of x_t in (0, 1) for the terms with
+    // P_t > 0, in ascending order; the others never receive mass and
+    // stay 0.
+    let mut rng = SmallRng::seed_from_u64(config.seed);
+    live.xa.clear();
+    live.xa.reserve_exact(live.terms.len());
+    live.xa.extend(
+        live.terms
+            .iter()
+            .map(|_| [rng.random_range(0.01..1.0), 0.0]),
+    );
+    // Reserved up front: a later fusion round may sweep longer than the
+    // first.
     let mut deltas = mem::take(&mut scratch.deltas);
     deltas.clear();
+    deltas.reserve_exact(config.max_iterations.min(RESERVED_SWEEPS));
     let mut converged = false;
     let mut iterations = 0;
 
-    let n_live_pairs = live.pair_count(graph);
-    let n_live_terms = live.terms.len();
     while iterations < config.max_iterations {
         iterations += 1;
         let _sweep = er_obs::span("sweep");
-        // Line 3–4: `p · s` for the live pairs from the current weights.
-        fan_out(
-            pool,
-            n_live_pairs,
-            |i| live.pair(i) as usize,
-            &mut s,
-            |items, out, base| pair_rows(graph, edge_prob, live, &x, items, out, base),
-        );
-        // Line 5–7: term weights from the live rows, then normalize.
-        // The convergence delta is measured on the *normalized* weights —
-        // those are what the fixed point is defined over.
-        fan_out(
-            pool,
-            n_live_terms,
-            |j| live.terms[j] as usize,
-            &mut new_x,
-            |rows, out, base| term_rows(graph, live, &s, config.normalization, rows, out, base),
-        );
-        if config.normalization == Normalization::L2 {
-            let norm = sum_over_terms(n_terms, &live.terms, |t| new_x[t] * new_x[t]).sqrt();
-            if norm > 0.0 {
-                for &t in &live.terms {
-                    new_x[t as usize] /= norm;
-                }
-            }
+        // Line 3–6: Eq. 7 for the live pairs, and each live term's sum of
+        // `p · s` into its `acc`.
+        match pool {
+            None => fused_sweep(&live.offsets, &live.rows, &s, &mut live.xa),
+            Some(pool) => pooled_sweep(live, &s, pool),
         }
-        let delta = sum_over_terms(n_terms, &live.terms, |t| (x[t] - new_x[t]).abs());
-        mem::swap(&mut x, &mut new_x);
+        // Line 6–7: divide, normalize, and measure the delta on the
+        // *normalized* weights — those are what the fixed point is
+        // defined over.
+        let delta = term_walk(graph, &live.terms, &mut live.xa, config.normalization);
         deltas.push(delta);
         if delta < config.tolerance {
             converged = true;
             break;
         }
     }
-    er_obs::counter_add("iter_edge_visits_total", (live.edges * iterations) as u64);
+    er_obs::counter_add(
+        "iter_edge_visits_total",
+        (live.rows.len() * iterations) as u64,
+    );
+    let mut x = mem::take(&mut scratch.x);
+    x.clear();
+    x.resize(n_terms, 0.0);
+    for (&t, slot) in live.terms.iter().zip(&live.xa) {
+        x[t as usize] = slot[0];
+    }
     // Final similarities from the converged weights, over every pair, so
     // callers see a consistent (x, s) fixed-point pair.
-    fan_out(
-        pool,
-        n_pairs,
-        |p| p,
-        &mut s,
-        |_, out, base| {
-            similarities_range(graph, &x, out, base);
-        },
-    );
+    s.resize(graph.pair_count(), 0.0);
+    fan_out(pool, &mut s, |pairs, out| {
+        similarities_range(graph, &x, out, pairs.start);
+    });
 
-    // `x`, `s`, `deltas` leave inside the outcome (and come back via
-    // `IterScratch::recycle`); the spare double buffer stays here.
-    scratch.new_x = new_x;
     IterOutcome {
         term_weights: x,
         pair_similarities: s,
@@ -360,105 +385,179 @@ pub fn run_iter_into(
     }
 }
 
-/// `Σ f(t)` over the live terms in ascending order, with the bits of the
-/// same sum over every term. Each `P_t = 0` term adds `+0.0`, which leaves
-/// a non-negative sum unchanged except for the sign of a zero:
-/// `Iterator::sum` over no term is `−0.0`, over `+0.0`s it is `+0.0`.
-/// Every `f(t)` must be non-negative and not `−0.0`.
-fn sum_over_terms(n_terms: usize, live_terms: &[u32], f: impl Fn(usize) -> f64) -> f64 {
-    let sum: f64 = live_terms.iter().map(|&t| f(t as usize)).sum();
-    if live_terms.len() < n_terms {
+/// One serial sweep (see the module doc): zeroes every `acc`, then for
+/// each live pair, in ascending id order, sums `x` over its row (Eq. 7)
+/// and adds `p · s` to each of those terms' `acc`. `p` holds the live
+/// pairs' probabilities at its front.
+// er-lint: zero-alloc
+fn fused_sweep(offsets: &[u32], rows: &[u32], p: &[f64], xa: &mut [[f64; 2]]) {
+    for slot in xa.iter_mut() {
+        slot[1] = 0.0;
+    }
+    for (w, &p) in offsets.windows(2).zip(p) {
+        let row = &rows[w[0] as usize..w[1] as usize];
+        let ps = p * local_similarity(row, xa);
+        for &j in row {
+            xa[j as usize][1] += ps;
+        }
+    }
+}
+
+/// The pooled sweep: [`pair_rows`] into the transpose's `p · s` buffer,
+/// then [`term_rows`] into each live term's `acc`, each pass split into
+/// pool jobs over disjoint ranges.
+fn pooled_sweep(live: &mut LiveView, p: &[f64], pool: &WorkerPool) {
+    let LiveView {
+        offsets,
+        rows,
+        xa,
+        pooled: t,
+        ..
+    } = live;
+    let (offsets, rows, x) = (&offsets[..], &rows[..], &xa[..]);
+    fan_out(Some(pool), &mut t.ps[..], |items, out| {
+        pair_rows(offsets, rows, p, x, items, out);
+    });
+    let (t_offsets, pairs, ps) = (&t.offsets[..], &t.pairs[..], &t.ps[..]);
+    fan_out(Some(pool), &mut xa[..], |terms, out| {
+        term_rows(t_offsets, pairs, ps, terms, out);
+    });
+}
+
+/// Eq. 7 over a live pair's local term ids.
+fn local_similarity(row: &[u32], xa: &[[f64; 2]]) -> f64 {
+    row.iter().map(|&j| xa[j as usize][0]).sum()
+}
+
+/// Eq. 7 for the live pairs `items`, scaled by `p`:
+/// `out[i − items.start] = p_i · s_i`, which is the product the term
+/// update adds.
+// er-lint: zero-alloc
+fn pair_rows(
+    offsets: &[u32],
+    rows: &[u32],
+    p: &[f64],
+    xa: &[[f64; 2]],
+    items: Range<usize>,
+    out: &mut [f64],
+) {
+    for (i, slot) in items.zip(out) {
+        let row = &rows[offsets[i] as usize..offsets[i + 1] as usize];
+        *slot = p[i] * local_similarity(row, xa);
+    }
+}
+
+/// Each live term's sum of `ps` (the `p · s` of [`pair_rows`]) over its
+/// live pairs, ascending, into its `acc`: `out[j − terms.start][1]`.
+// er-lint: zero-alloc
+fn term_rows(
+    offsets: &[u32],
+    pairs: &[u32],
+    ps: &[f64],
+    terms: Range<usize>,
+    out: &mut [[f64; 2]],
+) {
+    for (j, slot) in terms.zip(out) {
+        let mut acc = 0.0;
+        for &i in &pairs[offsets[j] as usize..offsets[j + 1] as usize] {
+            acc += ps[i as usize];
+        }
+        slot[1] = acc;
+    }
+}
+
+/// Eq. 6's division by the full `P_t` and line 7's normalization for
+/// every live term, from the sum in its `acc`, with `x` updated in place.
+/// Returns the L1 change of the weights over every term.
+// er-lint: zero-alloc
+fn term_walk(
+    graph: &BipartiteGraph,
+    terms: &[u32],
+    xa: &mut [[f64; 2]],
+    normalization: Normalization,
+) -> f64 {
+    let n_terms = graph.term_count();
+    let raw = |slot: &[f64; 2], t: u32| slot[1] / f64::from(graph.pt(t));
+    let step = |slot: &mut [f64; 2], new: f64| {
+        let d = (slot[0] - new).abs();
+        slot[0] = new;
+        d
+    };
+    match normalization {
+        // 1/(1 + 1/x) = x/(1+x); continuous at 0.
+        Normalization::Reciprocal => sum_over_terms(
+            n_terms,
+            xa.iter_mut().zip(terms).map(|(slot, &t)| {
+                let r = raw(slot, t);
+                step(slot, r / (1.0 + r))
+            }),
+        ),
+        Normalization::L2 => {
+            let norm = sum_over_terms(
+                n_terms,
+                xa.iter_mut().zip(terms).map(|(slot, &t)| {
+                    slot[1] = raw(slot, t);
+                    slot[1] * slot[1]
+                }),
+            )
+            .sqrt();
+            sum_over_terms(
+                n_terms,
+                xa.iter_mut().map(|slot| {
+                    let new = if norm > 0.0 { slot[1] / norm } else { slot[1] };
+                    step(slot, new)
+                }),
+            )
+        }
+    }
+}
+
+/// `Σ` of the live terms' values in ascending term order, with the bits
+/// of the same sum over every term. Each `P_t = 0` term adds `+0.0`,
+/// which leaves a non-negative sum unchanged except for the sign of a
+/// zero: `Iterator::sum` over no term is `−0.0`, over `+0.0`s it is
+/// `+0.0`. Every value must be non-negative and not `−0.0`.
+fn sum_over_terms(n_terms: usize, live: impl ExactSizeIterator<Item = f64>) -> f64 {
+    let n_live = live.len();
+    let sum: f64 = live.sum();
+    if n_live < n_terms {
         sum + 0.0
     } else {
         sum
     }
 }
 
-/// Runs `job(items, out_part, base)` over the items `0..n`, where item
-/// `i` writes only `out[key(i)]` and `key` ascends: inline as one job
-/// (`base = 0`) without a pool, or as pool jobs over disjoint
-/// `split_at_mut` parts of `out`. Each part starts at its first item's
-/// key (the first part at 0) and ends where the next part starts, and
-/// its job writes `out_part[key(i) − base]`.
-fn fan_out<K, J>(pool: Option<&WorkerPool>, n: usize, key: K, out: &mut [f64], job: J)
+/// Runs `job(items, out_part)` over the items `0..out.len()`, where item
+/// `i` writes only `out[i]`: inline as one job without a pool, or as pool
+/// jobs over disjoint `split_at_mut` parts of `out`, where the part of
+/// `items` is `out[items]`.
+fn fan_out<T, J>(pool: Option<&WorkerPool>, out: &mut [T], job: J)
 where
-    K: Fn(usize) -> usize,
-    J: Fn(Range<usize>, &mut [f64], usize) + Sync,
+    T: Send,
+    J: Fn(Range<usize>, &mut [T]) + Sync,
 {
+    let n = out.len();
     match pool {
         Some(pool) if n >= 2 * MIN_CHUNK => {
             let ranges = er_pool::chunk_ranges(n, pool.threads() * 4, MIN_CHUNK);
             let job = &job;
             // er-lint: allow(dispatch) -- pool param is pre-gated by the per-run dispatch decision in `run_iter_into`
             pool.scope(|scope| {
-                let mut rest: &mut [f64] = out;
-                let mut base = 0;
-                for (k, items) in ranges.iter().enumerate() {
-                    let end = ranges
-                        .get(k + 1)
-                        .map_or(base + rest.len(), |next| key(next.start));
-                    let (part, tail) = rest.split_at_mut(end - base);
+                let mut rest: &mut [T] = out;
+                for items in ranges {
+                    let (part, tail) = rest.split_at_mut(items.len());
                     rest = tail;
-                    let items = items.clone();
-                    scope.submit(move || job(items, part, base));
-                    base = end;
+                    scope.submit(move || job(items, part));
                 }
             });
         }
-        _ => job(0..n, out, 0),
+        _ => job(0..n, out),
     }
 }
 
 /// Eq. 7: `s(ri, rj) = Σ_{t ∈ ri ∧ t ∈ rj} x_t` for pair `p`.
 fn similarity(graph: &BipartiteGraph, x: &[f64], p: u32) -> f64 {
     graph.terms_of_pair(p).iter().map(|&t| x[t as usize]).sum()
-}
-
-/// Eq. 7 for the live pairs `items`, scaled by `p`:
-/// `out[p − base] = p(ri, rj) · s(ri, rj)`, which is the product the term
-/// update adds.
-// er-lint: zero-alloc
-fn pair_rows(
-    graph: &BipartiteGraph,
-    edge_prob: &[f64],
-    live: &LiveView,
-    x: &[f64],
-    items: Range<usize>,
-    out: &mut [f64],
-    base: usize,
-) {
-    for i in items {
-        let p = live.pair(i);
-        out[p as usize - base] = edge_prob[p as usize] * similarity(graph, x, p);
-    }
-}
-
-/// Term update and normalization (Eq. 6, line 7) for the live terms
-/// `terms[rows]`: `out[t − base]` gets the sum of `ps` (the `p · s` of
-/// [`pair_rows`]) over the term's live row, divided by the full `P_t`.
-// er-lint: zero-alloc
-fn term_rows(
-    graph: &BipartiteGraph,
-    live: &LiveView,
-    ps: &[f64],
-    normalization: Normalization,
-    rows: Range<usize>,
-    out: &mut [f64],
-    base: usize,
-) {
-    for j in rows {
-        let t = live.terms[j];
-        let mut acc = 0.0;
-        for &p in live.row(graph, j) {
-            acc += ps[p as usize];
-        }
-        let raw = acc / f64::from(graph.pt(t));
-        out[t as usize - base] = match normalization {
-            // 1/(1 + 1/x) = x/(1+x); continuous at 0.
-            Normalization::Reciprocal => raw / (1.0 + raw),
-            Normalization::L2 => raw, // normalized by the caller
-        };
-    }
 }
 
 /// Pair update (Eq. 7) over pair range `base..base + out.len()`, writing
@@ -597,9 +696,7 @@ mod tests {
 
     /// A graph with probabilities that are all zero, all one, mostly
     /// live or mostly dead: exact zeros of both signs, ones, and values
-    /// in `[0, 1)`. Mostly-dead probabilities make the sweep compact its
-    /// term rows; mostly-live ones make it read the graph's rows past
-    /// dead pairs.
+    /// in `[0, 1)`.
     fn graph_and_prob() -> impl Strategy<Value = (BipartiteGraph, Vec<f64>)> {
         graph_strategy()
             .prop_flat_map(|graph| {
@@ -620,6 +717,41 @@ mod tests {
             })
     }
 
+    /// ITER equals the full sweep bit for bit under both normalizations,
+    /// at 1, 2 and 8 threads, serial, pooled, and on both sides of the
+    /// live-edge cutover.
+    fn assert_matches_full_sweep(
+        graph: &BipartiteGraph,
+        prob: &[f64],
+        seed: u64,
+        max_iterations: usize,
+    ) {
+        let work = live_edges(graph, prob);
+        let policies = [
+            DispatchPolicy::always_serial(),
+            DispatchPolicy::always_parallel(),
+            DispatchPolicy::new(work.saturating_add(1)),
+            DispatchPolicy::new(work.max(1)),
+        ];
+        for normalization in [Normalization::Reciprocal, Normalization::L2] {
+            let cfg = IterConfig {
+                seed,
+                max_iterations,
+                normalization,
+                ..Default::default()
+            };
+            let oracle = full_sweep(graph, prob, &cfg);
+            for threads in [1, 2, 8] {
+                for policy in policies {
+                    let pool = WorkerPool::with_policy(threads, policy);
+                    let run = run_iter(graph, prob, &cfg, &pool);
+                    let label = format!("{normalization:?} threads={threads} policy={policy:?}");
+                    assert_same(&run, &oracle, &label);
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -629,26 +761,50 @@ mod tests {
             seed in 0u64..1000,
             max_iterations in 1usize..60,
         ) {
-            let work = live_edges(&graph, &prob);
-            let policies = [
-                DispatchPolicy::always_serial(),
-                DispatchPolicy::always_parallel(),
-                DispatchPolicy::new(work.saturating_add(1)),
-                DispatchPolicy::new(work.max(1)),
-            ];
-            for normalization in [Normalization::Reciprocal, Normalization::L2] {
-                let cfg = IterConfig { seed, max_iterations, normalization, ..Default::default() };
-                let oracle = full_sweep(&graph, &prob, &cfg);
-                for threads in [1, 2, 8] {
-                    for policy in policies {
-                        let pool = WorkerPool::with_policy(threads, policy);
-                        let run = run_iter(&graph, &prob, &cfg, &pool);
-                        let label = format!("{normalization:?} threads={threads} policy={policy:?}");
-                        assert_same(&run, &oracle, &label);
-                    }
+            assert_matches_full_sweep(&graph, &prob, seed, max_iterations);
+        }
+    }
+
+    #[test]
+    fn scatter_cases_match_full_sweep() {
+        // Pairs (0,1) = 0 and (0,2) = 1 share term 0, so the fused sweep
+        // adds to its `acc` twice back to back; (0,5), (3,4) and (4,5)
+        // share one term each; term 5 has P_t = 0.
+        let g = BipartiteGraphBuilder::new(6, 6)
+            .postings(0, &[0, 1, 2])
+            .postings(1, &[0, 1])
+            .postings(2, &[3, 4])
+            .postings(3, &[4, 5])
+            .postings(4, &[0, 5])
+            .postings(5, &[2])
+            .build();
+        assert_eq!(g.pair_id(0, 1), Some(0));
+        assert_eq!(g.pair_id(0, 2), Some(1));
+        assert_eq!(g.pair_id(4, 5), Some(5));
+        assert_eq!((g.pt(3), g.pt(5)), (1, 0));
+        let probs: [[f64; 6]; 5] = [
+            // Term 3 is live, and its one pair (4, 5) is dead.
+            [1.0, 0.5, 0.25, 0.75, 1.0, 0.0],
+            [1.0; 6],
+            [0.0; 6],
+            [-0.0; 6],
+            [0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+        ];
+        for prob in &probs {
+            for max_iterations in [1, 7, 100] {
+                for seed in [0, 1] {
+                    assert_matches_full_sweep(&g, prob, seed, max_iterations);
                 }
             }
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "more than u32::MAX live term–pair edges")]
+    fn edge_offsets_past_u32_are_refused() {
+        assert_eq!(edge_offset(u32::MAX as usize), u32::MAX);
+        edge_offset(u32::MAX as usize + 1);
     }
 
     #[test]
@@ -677,9 +833,8 @@ mod tests {
 
     #[test]
     fn pt_counts_dead_pairs() {
-        // Term 1 touches six pairs, five of them at p = 0 (most edges are
-        // dead, so the sweep compacts its rows): its weight divides the
-        // one live product by P_1 = 6, not by its live row.
+        // Term 1 touches six pairs, five of them at p = 0: its weight
+        // divides the one live product by P_1 = 6, not by its live row.
         let g = BipartiteGraphBuilder::new(4, 2)
             .postings(0, &[0, 1])
             .postings(1, &[0, 1, 2, 3])

@@ -39,6 +39,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::config::RssConfig;
+use crate::sparse_kernel::row_scaled;
 
 /// Result of an RSS run.
 #[derive(Debug, Clone)]
@@ -172,14 +173,14 @@ impl EdgePowers {
         let mut row_sum = Vec::with_capacity(n);
         for u in 0..n as u32 {
             let (_, sims) = graph.neighbors(u);
-            // Same scaling as the original per-step computation: divide by
-            // twice the row maximum before exponentiating so α = 20 cannot
-            // overflow regardless of similarity magnitudes (the scaling
-            // cancels in the sampling normalization).
-            let max_sim = sims.iter().fold(0.0f64, |m, &v| m.max(v)) * 2.0;
+            // CliqueRank's row scaling: divide by twice the row maximum
+            // before exponentiating so α = 20 cannot overflow regardless
+            // of similarity magnitudes (the scaling cancels in the
+            // sampling normalization).
+            let row_max = sims.iter().fold(0.0f64, |m, &v| m.max(v));
             let mut sum = 0.0;
             for &sim in sims {
-                let w = (sim / max_sim).powf(alpha);
+                let w = row_scaled(sim, row_max).powf(alpha);
                 pow.push(w);
                 sum += w;
             }

@@ -151,13 +151,11 @@ impl SparseScratch {
         }
 
         // Row by row: the α-scaled edge powers a = (w / (2 · rowmax))^α
-        // (Eq. 11) into `mt`, summed in neighbor order; then `H` and `C`
-        // (Eq. 12) where a > 0, at the edge's incoming-order slot; then
-        // `mt` normalized in place. The row scaling keeps powf in range
-        // for any similarity magnitude (it cancels in the normalization);
-        // the factor 2 leaves headroom for the (1 + b) ≤ 2 bonus. Where
-        // a = 0, `H = 0` and `C = 1`: the boost does not apply and the row
-        // is normalized without a boosted entry.
+        // (Eq. 11, [`row_scaled`]) into `mt`, summed in neighbor order;
+        // then `H` and `C` (Eq. 12) where a > 0, at the edge's
+        // incoming-order slot; then `mt` normalized in place. Where a = 0,
+        // `H = 0` and `C = 1`: the boost does not apply and the row is
+        // normalized without a boosted entry.
         self.mt.clear();
         self.mt.resize(m, 0.0);
         self.hit.clear();
@@ -170,10 +168,9 @@ impl SparseScratch {
             let (neighbors, sims) = graph.neighbors(g);
             let row_max = sims.iter().fold(0.0f64, |m, &v| m.max(v));
             debug_assert!(row_max > 0.0, "component member with no positive edge");
-            let scale = 2.0 * row_max;
             let mut sum = 0.0;
             for (k, (&nb, &sim)) in neighbors.iter().zip(sims).enumerate() {
-                let v = (sim / scale).powf(alpha);
+                let v = row_scaled(sim, row_max).powf(alpha);
                 let slot = if mask {
                     k
                 } else {
@@ -305,6 +302,22 @@ impl SparseScratch {
                 out[pair_index(graph, g, nb)] = 0.5 * (fwd + bwd);
             }
         }
+    }
+}
+
+/// Eq. 11's row scaling `w / (2 · row_max)`, shared by CliqueRank and
+/// RSS. It keeps `powf` in range for any similarity magnitude (it cancels
+/// in the row's normalization), and the factor 2 leaves headroom for the
+/// `(1 + b) ≤ 2` bonus. Where `2 · row_max` overflows, for a weight above
+/// `f64::MAX / 2`, `w` is halved before the division instead, so the
+/// quotient stays in `[0, 1/2]`; wherever `2 · row_max` is finite the
+/// bits are those of the plain division.
+pub(crate) fn row_scaled(w: f64, row_max: f64) -> f64 {
+    let scale = 2.0 * row_max;
+    if scale.is_finite() {
+        w / scale
+    } else {
+        0.5 * w / row_max
     }
 }
 
@@ -872,10 +885,10 @@ mod tests {
         let mut row_sums = vec![0.0; nc];
         for (li, &g) in members.iter().enumerate() {
             let (neighbors, sims) = graph.neighbors(g);
-            let scale = 2.0 * sims.iter().fold(0.0f64, |m, &v| m.max(v));
+            let row_max = sims.iter().fold(0.0f64, |m, &v| m.max(v));
             for (&nb, &sim) in neighbors.iter().zip(sims) {
                 let lj = local_of[nb as usize] as usize;
-                let v = (sim / scale).powf(config.alpha);
+                let v = row_scaled(sim, row_max).powf(config.alpha);
                 a.set(li, lj, v);
                 edge[li * nc + lj] = true;
                 row_sums[li] += v;

@@ -18,9 +18,10 @@
 //!   excluded: it is a once-per-dataset cost by design.
 //! * **ITER sweeps** — once a run's outcome has been handed back through
 //!   `IterScratch::recycle`, the next `run_iter_into` allocates nothing:
-//!   its working vectors and the live view of the graph (the terms with
-//!   `P_t > 0`, the pairs with `p > 0`, the compacted term rows) all
-//!   reuse the scratch's capacity.
+//!   its working vectors and the live view of the graph (the local ids of
+//!   the terms with `P_t > 0`, their `[x, acc]` slots, the rows of the
+//!   pairs with `p > 0`) all reuse the scratch's capacity. One scratch
+//!   runs in fusion order: all-ones first, then fewer live pairs.
 //! * **Record interning** — once a vocabulary has seen a record's terms
 //!   and its token buffer has grown to the record's longest token,
 //!   `Vocabulary::intern_record` appending into a caller's token list
@@ -246,53 +247,58 @@ fn iter_graph() -> BipartiteGraph {
     builder.build()
 }
 
-/// Warm ITER runs must be alloc-free: a warm-up run grows the scratch's
-/// live view and working vectors, and every later run recycles the
-/// previous outcome first, as the fusion loop does. Three probability
-/// vectors cover the view's three layouts: mostly zero (the sweep
-/// compacts its term rows), a quarter zero (it lists the live pairs and
-/// reads the graph's rows) and all ones (it lists nothing).
+/// Warm ITER runs must be alloc-free: a first run on all-ones
+/// probabilities grows the scratch's live view and working vectors to
+/// the whole graph, as fusion's first round does, and every later run
+/// recycles the previous outcome first and fits in that capacity. The
+/// later runs go in fusion order, a quarter of the pairs dead and then
+/// most of them, and around again.
 fn assert_iter_steady_state() {
     let graph = iter_graph();
     let pool = WorkerPool::with_policy(1, DispatchPolicy::always_serial());
     let config = IterConfig::default();
     let n = graph.pair_count();
     let value = |p: usize| 0.25 + (p % 7) as f64 / 10.0;
-    let mostly_dead: Vec<f64> = (0..n)
-        .map(|p| if p % 4 == 0 { value(p) } else { 0.0 })
-        .collect();
+    let ones = vec![1.0; n];
     let quarter_dead: Vec<f64> = (0..n)
         .map(|p| if p % 4 == 0 { 0.0 } else { value(p) })
         .collect();
-    let ones = vec![1.0; n];
-    let dead_edges = |prob: &[f64]| -> usize {
-        (0..n as u32)
-            .filter(|&p| prob[p as usize] == 0.0)
-            .map(|p| graph.terms_of_pair(p).len())
-            .sum()
-    };
-    assert!(2 * dead_edges(&mostly_dead) > graph.edge_count());
-    assert!(2 * dead_edges(&quarter_dead) < graph.edge_count() && dead_edges(&quarter_dead) > 0);
-    for (prob, label) in [
-        (&mostly_dead, "p mostly 0"),
-        (&quarter_dead, "p a quarter 0"),
-        (&ones, "all-ones p"),
-    ] {
-        let mut scratch = IterScratch::new();
-        let warm = run_iter_into(&graph, prob, &config, &pool, &mut scratch);
-        let baseline = warm.term_weights.clone();
-        scratch.recycle(warm);
-        let mut same = true;
-        let allocs = count_allocs(|| {
-            for _ in 0..3 {
-                let out = run_iter_into(&graph, prob, &config, &pool, &mut scratch);
-                same &= out.term_weights == baseline;
-                scratch.recycle(out);
-            }
-        });
-        assert_eq!(allocs, 0, "{label}: warm ITER runs must not allocate");
-        assert!(same, "{label}: repeat ITER runs must be bit-identical");
-    }
+    let mostly_dead: Vec<f64> = (0..n)
+        .map(|p| if p % 4 == 0 { value(p) } else { 0.0 })
+        .collect();
+    let rounds = [
+        &quarter_dead,
+        &mostly_dead,
+        &ones,
+        &quarter_dead,
+        &mostly_dead,
+    ];
+    let fresh: Vec<Vec<f64>> = rounds
+        .iter()
+        .map(|prob| {
+            run_iter_into(&graph, prob, &config, &pool, &mut IterScratch::new()).term_weights
+        })
+        .collect();
+    let mut scratch = IterScratch::new();
+    let warm = run_iter_into(&graph, &ones, &config, &pool, &mut scratch);
+    scratch.recycle(warm);
+    let mut same = true;
+    let allocs = count_allocs(|| {
+        for (prob, want) in rounds.iter().zip(&fresh) {
+            let out = run_iter_into(&graph, prob, &config, &pool, &mut scratch);
+            same &= out
+                .term_weights
+                .iter()
+                .zip(want)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            scratch.recycle(out);
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "warm ITER runs in fusion order must not allocate"
+    );
+    assert!(same, "warm ITER runs must equal fresh runs bit for bit");
 }
 
 /// Warm record interning must be alloc-free: a warm-up pass interns
